@@ -141,13 +141,10 @@ pub fn hebrard_greedy(inst: &Instance) -> ApproxResult {
     let m = inst.machines();
     let mut machine_busy = vec![Busy::default(); m];
     let mut class_busy = vec![Busy::default(); inst.num_classes()];
-    let mut remaining: Vec<Time> = (0..inst.num_classes())
-        .map(|c| inst.class_load(c))
-        .collect();
 
-    // Priority order: p_j + remaining class load, recomputed lazily — since
-    // p_j + remaining only decreases as the class drains, a one-shot sort by
-    // (class load + size, size) matches the intent closely and is O(n log n).
+    // Priority order: p_j + remaining class load only decreases as the
+    // class drains, so a one-shot sort by (class load + size, size)
+    // matches the intent closely and is O(n log n).
     let mut order: Vec<JobId> = (0..inst.num_jobs()).collect();
     order.sort_unstable_by_key(|&j| {
         let c = inst.class_of(j);
@@ -178,7 +175,6 @@ pub fn hebrard_greedy(inst: &Instance) -> ApproxResult {
         };
         machine_busy[q].insert(s, s + p);
         class_busy[c].insert(s, s + p);
-        remaining[c] -= p;
     }
     let schedule = Schedule::new(assignments);
     let horizon = schedule.makespan(inst);

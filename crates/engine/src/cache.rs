@@ -161,6 +161,14 @@ impl ReportCache {
     /// report clone happens inside the cache, so a hit costs one refcount
     /// bump (the streaming serve path serializes straight from the `Arc`).
     pub fn get(&self, key: &CacheKey) -> Option<Arc<SolveReport>> {
+        self.lookup(key, true)
+    }
+
+    /// [`get`](Self::get), except that a miss is counted only when
+    /// `count_miss` is set. The serve path's admission probe passes
+    /// `false`: its misses go to the shard's batch solve, whose own probe
+    /// of the same key counts them, so each fresh solve counts one miss.
+    pub(crate) fn lookup(&self, key: &CacheKey, count_miss: bool) -> Option<Arc<SolveReport>> {
         if !self.enabled() {
             return None;
         }
@@ -179,8 +187,10 @@ impl ReportCache {
             }
             None => {
                 drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                registry().cache_misses_total.inc();
+                if count_miss {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    registry().cache_misses_total.inc();
+                }
                 None
             }
         }

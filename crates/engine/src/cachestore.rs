@@ -64,8 +64,8 @@ use std::sync::Arc;
 
 use msrs_telemetry::registry;
 
-use crate::checkpoint::fnv1a_64;
 use crate::dispatch::{CacheFault, FaultSpec};
+use crate::fnv::{fnv1a_64, FNV1A_64_BASIS};
 use crate::json::Json;
 use crate::report::SolveReport;
 
@@ -120,7 +120,10 @@ pub struct CacheStore {
 /// (hex), the config fingerprint (decimal), and the report's store
 /// serialization, colon-separated.
 fn record_checksum(fp: u128, config_fp: u64, payload: &str) -> u64 {
-    fnv1a_64(format!("{fp:032x}:{config_fp}:{payload}").as_bytes())
+    fnv1a_64(
+        FNV1A_64_BASIS,
+        format!("{fp:032x}:{config_fp}:{payload}").as_bytes(),
+    )
 }
 
 fn header_line(config_fp: u64) -> String {

@@ -33,19 +33,6 @@ pub const CHECKPOINT_MAGIC: &str = "msrs-dispatch";
 /// Journal format version; bumped on incompatible record changes.
 pub const CHECKPOINT_VERSION: u64 = 1;
 
-/// 64-bit FNV-1a over a byte slice — the same stable, platform-independent
-/// hash the engine uses for its configuration fingerprint. Used to
-/// fingerprint each shard's raw line text so a resume detects a corpus
-/// that changed underneath the journal.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// The journal header: what run this checkpoint belongs to. A resume
 /// refuses to reuse a journal whose configuration fingerprint or shard
 /// size differs — either would change shard boundaries or report content.

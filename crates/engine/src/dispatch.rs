@@ -144,6 +144,7 @@ use msrs_telemetry::registry;
 
 use crate::cachestore::CacheStore;
 use crate::checkpoint::{self, CheckpointHeader, CheckpointLog, ShardRecord, ShardStats};
+use crate::fnv::{fnv1a_64, FNV1A_64_BASIS};
 use crate::json::{Json, JsonError};
 use crate::jsonl::CorpusError;
 use crate::remote::{RemoteHub, REMOTE_PROTO_VERSION};
@@ -980,7 +981,7 @@ impl<R: BufRead> ShardSource<R> {
         }
         let mut lines = Vec::new();
         let mut line_nos = Vec::new();
-        let mut hash = 0xcbf29ce484222325u64;
+        let mut hash = FNV1A_64_BASIS;
         let mut buf = String::new();
         while lines.len() < shard_size {
             buf.clear();
@@ -1004,8 +1005,8 @@ impl<R: BufRead> ShardSource<R> {
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            hash = fnv1a_64_continue(hash, line.as_bytes());
-            hash = fnv1a_64_continue(hash, b"\n");
+            hash = fnv1a_64(hash, line.as_bytes());
+            hash = fnv1a_64(hash, b"\n");
             lines.push(line.to_string());
             line_nos.push(self.line_no);
         }
@@ -1022,16 +1023,6 @@ impl<R: BufRead> ShardSource<R> {
         self.next_index += 1;
         Ok(Some(shard))
     }
-}
-
-/// Continues an FNV-1a hash across chunks (same constants as
-/// [`crate::checkpoint::fnv1a_64`]).
-fn fnv1a_64_continue(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Events a worker's output reader thread reports to the coordinator.

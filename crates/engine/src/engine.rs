@@ -25,6 +25,7 @@ use msrs_ptas::EptasConfig;
 use msrs_telemetry::{registry, OutcomeStatus, Stage};
 
 use crate::cache::{CacheKey, ReportCache};
+use crate::fnv::{fnv1a_64, FNV1A_64_BASIS};
 use crate::portfolio::{plan, Portfolio, SolverKind};
 use crate::profile::{classify, InstanceProfile, SizeTier};
 use crate::report::{RunStatus, SolveReport, SolveRequest, SolverRun};
@@ -188,15 +189,9 @@ impl EngineConfig {
     /// bit-identical across both — so cache entries stay valid across
     /// those knobs. Part of the [`CacheKey`].
     pub fn content_fingerprint(&self) -> u64 {
-        // FNV-1a (64-bit) over the content-relevant fields; stable across
-        // platforms and runs, unlike `std::hash`.
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut put = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
+        // FNV-1a over the content-relevant fields, each as 8 LE bytes.
+        let mut h = FNV1A_64_BASIS;
+        let mut put = |word: u64| h = fnv1a_64(h, &word.to_le_bytes());
         put(self.run_baselines as u64);
         put(self.exact.max_jobs as u64);
         put(self.exact.max_classes as u64);
@@ -317,12 +312,17 @@ impl Engine {
 
     /// Cache probe of the byte-level serve path: the canonical report for a
     /// decoded line, by fingerprint alone. Must only be called when
-    /// [`serve_cache_active`](Self::serve_cache_active) is true.
+    /// [`serve_cache_active`](Self::serve_cache_active) is true. A miss is
+    /// not counted here: the line joins the shard's batch solve, whose
+    /// probe counts it once.
     pub(crate) fn serve_cached(&self, fingerprint: u128) -> Option<Arc<SolveReport>> {
-        self.cache.get(&CacheKey {
-            instance: fingerprint,
-            config: self.config_fp,
-        })
+        self.cache.lookup(
+            &CacheKey {
+                instance: fingerprint,
+                config: self.config_fp,
+            },
+            false,
+        )
     }
 
     /// Accounts an in-shard duplicate the serve path answered at the byte
@@ -944,6 +944,16 @@ fn assemble(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Cache stores and checkpoint journals persist this fingerprint, so a
+    /// change orphans every store written under the default configuration.
+    #[test]
+    fn default_content_fingerprint_is_pinned() {
+        assert_eq!(
+            EngineConfig::default().content_fingerprint(),
+            0xa1c10a69e23fd680
+        );
+    }
 
     #[test]
     fn outcome_labels_match_enum_names() {

@@ -68,6 +68,7 @@ pub mod checkpoint;
 pub mod dispatch;
 pub mod engine;
 pub mod families;
+pub mod fnv;
 pub mod json;
 pub mod jsonl;
 pub mod portfolio;

@@ -422,7 +422,7 @@ impl ServiceCore {
 
     /// Admits one meaningful (non-blank, non-comment, trimmed) line:
     /// decodes it into the retained buffers, fingerprints the flat data in
-    /// place, probes the result cache and the in-shard dedup table, and
+    /// place, probes the in-shard dedup table and the result cache, and
     /// classifies the line into the pending shard. `started` is the
     /// transport's per-line start instant — it anchors both the
     /// decode-stage span and a hit's `wall_micros` serving-time stamp.
@@ -506,8 +506,10 @@ impl ServiceCore {
         self.phases.canon += t_canon.elapsed();
     }
 
-    /// Probes cache → in-shard dedup table → miss, pushing the resulting
-    /// slot. `materialize` builds the request only on the miss path.
+    /// Probes in-shard dedup table → cache → miss, pushing the resulting
+    /// slot. `materialize` builds the request only on the miss path. The
+    /// dedup table goes first so a duplicate of a pending miss never
+    /// probes (and never counts a miss in) the cache.
     fn classify<F>(
         &mut self,
         engine: &Engine,
@@ -520,20 +522,20 @@ impl ServiceCore {
     {
         // `serve_cached` times the probe as a `cache_lookup` stage span
         // inside the cache itself.
-        if let Some(report) = engine.serve_cached(fp) {
-            self.stats.fast_path_hits += 1;
-            count_fast_path();
-            self.slots.push(Slot::Hit {
-                report,
-                id,
-                serve_micros: started.elapsed().as_micros() as u64,
-            });
-        } else if let Some(&first) = self.shard_forms.get(&fp) {
+        if let Some(&first) = self.shard_forms.get(&fp) {
             engine.count_serve_dedup_hit();
             self.stats.fast_path_hits += 1;
             count_fast_path();
             self.slots.push(Slot::Dup {
                 first,
+                id,
+                serve_micros: started.elapsed().as_micros() as u64,
+            });
+        } else if let Some(report) = engine.serve_cached(fp) {
+            self.stats.fast_path_hits += 1;
+            count_fast_path();
+            self.slots.push(Slot::Hit {
+                report,
                 id,
                 serve_micros: started.elapsed().as_micros() as u64,
             });
@@ -798,12 +800,6 @@ impl JsonlServer {
     /// on that many pool workers.
     pub fn set_decode_threads(&mut self, threads: usize) {
         self.decode_threads = threads;
-    }
-
-    /// Builder-style [`set_decode_threads`](Self::set_decode_threads).
-    pub fn with_decode_threads(mut self, threads: usize) -> Self {
-        self.decode_threads = threads;
-        self
     }
 
     /// Serves a JSONL corpus end to end: decode each line, serve cache hits
@@ -1139,8 +1135,9 @@ mod tests {
                 .serve(&mk(), Cursor::new(corpus.as_bytes()), &mut seq_out, 32)
                 .unwrap();
             let mut par_out = Vec::new();
-            let par = JsonlServer::new()
-                .with_decode_threads(4)
+            let mut par_server = JsonlServer::new();
+            par_server.set_decode_threads(4);
+            let par = par_server
                 .serve(&mk(), Cursor::new(corpus.as_bytes()), &mut par_out, 32)
                 .unwrap();
             assert!(seq.error.is_none() && par.error.is_none());
@@ -1177,8 +1174,9 @@ mod tests {
             ..EngineConfig::default()
         });
         let mut out = Vec::new();
-        let outcome = JsonlServer::new()
-            .with_decode_threads(3)
+        let mut server = JsonlServer::new();
+        server.set_decode_threads(3);
+        let outcome = server
             .serve(&engine, Cursor::new(corpus.as_bytes()), &mut out, 4)
             .unwrap();
         // Every line before the malformed one was emitted; the error names

@@ -208,6 +208,66 @@ fn intra_batch_dedup_fans_out_in_order() {
     assert_eq!(fresh, vec![0, 10, 20, 30]);
 }
 
+/// The serve path counts one cache miss per fresh solve: an in-shard
+/// duplicate of a pending miss is a dedup hit, and the shard's batch solve
+/// does not count the admission probe's misses a second time.
+#[test]
+fn serve_counts_one_miss_per_fresh_solve() {
+    use msrs_engine::json::Json;
+    use msrs_engine::{jsonl, JsonlServer};
+
+    let _guard = serialized();
+    let mut corpus = String::new();
+    for seed in 0..120u64 {
+        let inst = msrs_gen::traffic(seed, 3, 10);
+        corpus.push_str(&jsonl::write_instance_line(
+            Some(&format!("t{seed}")),
+            &inst,
+        ));
+        corpus.push('\n');
+    }
+    for decode_threads in [1, 2] {
+        let eng = engine(2, 1024);
+        // Two passes: the first mixes in-shard duplicates, cross-shard hits
+        // and misses; the second is all hits.
+        for pass in 0..2 {
+            let before = telemetry::snapshot();
+            let mut server = JsonlServer::new();
+            server.set_decode_threads(decode_threads);
+            let mut out = Vec::new();
+            let outcome = server
+                .serve(&eng, corpus.as_bytes(), &mut out, 16)
+                .expect("serve");
+            let after = telemetry::snapshot();
+            assert!(outcome.error.is_none());
+            let fresh = String::from_utf8(out)
+                .unwrap()
+                .lines()
+                .filter(|line| {
+                    let report = Json::parse(line).expect("report line");
+                    matches!(report.get("cache_hit"), Some(Json::Bool(false)))
+                })
+                .count() as u64;
+            let misses = counter_delta(&before, &after, "msrs_cache_misses_total");
+            let hits = counter_delta(&before, &after, "msrs_cache_hits_total");
+            assert_eq!(
+                misses, fresh,
+                "decode_threads={decode_threads}, pass {pass}"
+            );
+            assert_eq!(
+                misses + hits,
+                120,
+                "decode_threads={decode_threads}, pass {pass}"
+            );
+            if pass == 0 {
+                assert!(fresh > 0 && fresh < 120, "duplicate-heavy corpus");
+            } else {
+                assert_eq!(fresh, 0);
+            }
+        }
+    }
+}
+
 /// Capacity 0 must behave exactly like the pre-cache engine: no hits, no
 /// dedup, every solve fresh — and still identical reports.
 #[test]

