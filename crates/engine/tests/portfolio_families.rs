@@ -2,7 +2,9 @@
 //! certificate soundness, batch determinism at acceptance scale, and the
 //! `msrs` CLI binary.
 
-use msrs_core::validate;
+use msrs_approx::{baselines, ApproxResult};
+use msrs_core::{validate, Instance, Job, Schedule, Time};
+use msrs_engine::fnv::{fnv1a_64, FNV1A_64_BASIS};
 use msrs_engine::{Engine, EngineConfig, RunStatus, SolveRequest, SolverKind};
 
 /// One instance per generator family, across several seeds and machine
@@ -243,4 +245,119 @@ fn cli_bench_rejects_the_retired_baseline_flags() {
         stderr.contains(&format!("unknown flag `{flag}`")),
         "stderr: {stderr}"
     );
+}
+
+/// The prior-work baselines whose exact output is pinned below.
+const BASELINES: [(&str, fn(&Instance) -> ApproxResult); 3] = [
+    ("hebrard_greedy", baselines::hebrard_greedy),
+    ("list_scheduler", baselines::list_scheduler),
+    ("merged_lpt", baselines::merged_lpt),
+];
+
+/// Continues `h` over a schedule's length and every `(machine, start)`.
+fn schedule_digest(mut h: u64, schedule: &Schedule) -> u64 {
+    h = fnv1a_64(h, &(schedule.len() as u64).to_le_bytes());
+    for a in schedule.assignments() {
+        h = fnv1a_64(h, &(a.machine as u64).to_le_bytes());
+        h = fnv1a_64(h, &a.start.to_le_bytes());
+    }
+    h
+}
+
+/// One digest per baseline over every instance, in order.
+fn baseline_digests(instances: &[Instance]) -> [u64; 3] {
+    BASELINES.map(|(_, solve)| {
+        instances.iter().fold(FNV1A_64_BASIS, |h, inst| {
+            schedule_digest(h, &solve(inst).schedule)
+        })
+    })
+}
+
+/// Hand-built shapes past the `m ≥ |C|` fast path: zero-size jobs,
+/// equal-size jobs within a class, distinct classes of equal load, and job
+/// ids interleaved across classes.
+fn edge_shapes() -> Vec<Instance> {
+    let by_class: Vec<(usize, Vec<Vec<Time>>)> = vec![
+        (2, vec![vec![0, 3, 0], vec![4], vec![0, 2], vec![5, 0]]),
+        (
+            3,
+            vec![vec![0; 4], vec![6, 6], vec![1, 0, 1], vec![6], vec![0, 5]],
+        ),
+        (
+            2,
+            vec![vec![4, 4, 4, 4], vec![2, 2, 2], vec![7, 7], vec![1; 6]],
+        ),
+        (
+            3,
+            vec![vec![3; 5], vec![5, 5, 5], vec![3; 5], vec![15], vec![1; 15]],
+        ),
+        (
+            2,
+            vec![vec![6], vec![3, 3], vec![2, 2, 2], vec![1, 5], vec![4, 2]],
+        ),
+        (3, vec![vec![2; 5]; 7]),
+        (
+            4,
+            vec![
+                vec![9, 1],
+                vec![1, 9],
+                vec![5, 5],
+                vec![10],
+                vec![2; 5],
+                vec![0, 10],
+            ],
+        ),
+        (2, vec![vec![1], vec![1], vec![1]]),
+    ];
+    let mut shapes: Vec<Instance> = by_class
+        .iter()
+        .map(|(m, classes)| Instance::from_classes(*m, classes).expect("valid shape"))
+        .collect();
+    let interleaved = [
+        (4, 2),
+        (3, 0),
+        (0, 1),
+        (4, 3),
+        (3, 2),
+        (4, 1),
+        (0, 2),
+        (3, 3),
+        (3, 1),
+    ];
+    for m in [2, 3] {
+        let jobs = interleaved.map(|(size, class)| Job::new(size, class));
+        shapes.push(Instance::new(m, jobs.to_vec()).expect("valid shape"));
+    }
+    shapes
+}
+
+/// The baselines' exact schedules are pinned: any change to
+/// `hebrard_greedy`, `list_scheduler` or `merged_lpt` that moves a single
+/// `(machine, start)` on every family × 50 seeds × m ∈ {2, 4, 8}, or on the
+/// hand-built edge shapes, changes a digest. Portfolio reports carry these
+/// schedules, so a faster rewrite must leave every digest unchanged.
+#[test]
+fn baseline_schedules_match_pinned_digests() {
+    let mut corpus = Vec::new();
+    for spec in msrs_engine::families::FAMILIES {
+        for m in [2, 4, 8] {
+            for seed in 0..50u64 {
+                corpus.push((spec.generate)(seed, m));
+            }
+        }
+    }
+    let pinned_families: [u64; 3] = [0x4be0193a90cfb72a, 0x7a990564e4480d40, 0x7ed6f860de959c06];
+    let pinned_shapes: [u64; 3] = [0xeff30a60f114217b, 0xea3276982b7023e4, 0x91106ca7fddbfda7];
+    for (digests, pinned, what) in [
+        (baseline_digests(&corpus), pinned_families, "families"),
+        (
+            baseline_digests(&edge_shapes()),
+            pinned_shapes,
+            "edge shapes",
+        ),
+    ] {
+        for ((name, _), (got, want)) in BASELINES.iter().zip(digests.iter().zip(pinned)) {
+            assert_eq!(*got, want, "{name} on {what}: got {got:#018x}");
+        }
+    }
 }
