@@ -8,11 +8,21 @@
 //! * [`list_scheduler`] — resource-aware LPT list scheduling: whenever a
 //!   machine is free, run the largest available job whose resource is idle.
 //!
+//! Costs, for `n` jobs, `k` classes and `m` machines: [`merged_lpt`] is
+//! O(n + k·(log k + m)); [`list_scheduler`] is O(n log n) to sort, then
+//! O(m + log k) per event (a job start, or a machine idling until a class
+//! frees up); [`hebrard_greedy`] is O(n log n) to sort, then per
+//! job one walk per machine over the coalesced busy runs of that machine and
+//! of the job's class, cut short at the best start found so far.
+//!
 //! Both prior-work algorithms achieve a `2m/(m+1)`-flavoured worst case; the
 //! E2 experiment reproduces the paper's remark that `Algorithm_5/3` and
 //! `Algorithm_3/2` beat them from `m = 6` resp. `m = 4` machines on.
 
-use msrs_core::{bounds::lower_bound, Assignment, Instance, JobId, Schedule, Time};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use msrs_core::{bounds::lower_bound, Assignment, ClassId, Instance, JobId, Schedule, Time};
 
 use crate::common::{trivial, ApproxResult};
 
@@ -57,82 +67,82 @@ pub fn merged_lpt(inst: &Instance) -> ApproxResult {
     }
 }
 
-/// Busy intervals per machine/class used by the insertion baselines.
+/// Busy time of one machine or one class: sorted `[start, end)` runs that
+/// neither overlap nor touch (touching intervals are coalesced on insert).
+/// For `p > 0` an earliest-fit scan depends only on the union of the busy
+/// intervals, so coalescing changes no fit — it only shortens the scan.
 #[derive(Debug, Default, Clone)]
 struct Busy {
-    /// Sorted, disjoint `[start, end)` intervals.
-    iv: Vec<(Time, Time)>,
+    runs: Vec<(Time, Time)>,
 }
 
 impl Busy {
+    /// Marks `[s, e)` busy. It must not overlap a run; it may touch one.
     fn insert(&mut self, s: Time, e: Time) {
         if s == e {
             return;
         }
-        let pos = self.iv.partition_point(|&(a, _)| a < s);
-        self.iv.insert(pos, (s, e));
-    }
-
-    /// Earliest `t ≥ from` such that `[t, t+p)` avoids all intervals.
-    #[cfg(test)]
-    fn earliest_fit(&self, from: Time, p: Time) -> Time {
-        let mut t = from;
-        for &(s, e) in &self.iv {
-            if t + p <= s {
-                break;
+        let pos = self.runs.partition_point(|&(a, _)| a < s);
+        debug_assert!(pos == 0 || self.runs[pos - 1].1 <= s, "overlaps run");
+        debug_assert!(
+            pos == self.runs.len() || e <= self.runs[pos].0,
+            "overlaps run"
+        );
+        let joins_prev = pos > 0 && self.runs[pos - 1].1 == s;
+        let joins_next = pos < self.runs.len() && self.runs[pos].0 == e;
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                self.runs[pos - 1].1 = self.runs.remove(pos).1;
             }
-            if e > t {
-                t = e;
-            }
+            (true, false) => self.runs[pos - 1].1 = e,
+            (false, true) => self.runs[pos].0 = s,
+            (false, false) => self.runs.insert(pos, (s, e)),
         }
-        t
     }
 }
 
-/// Earliest `t ≥ from` such that `[t, t+p)` avoids every interval of both
-/// lists. Equivalent to concatenating, sorting, and scanning (the scan only
-/// needs intervals in ascending order, and ties commute through the
-/// `max`-accumulation) — but walks the two already-sorted lists with two
-/// cursors instead: no allocation, no sort. This sits in the innermost
-/// (job × machine) loop of [`hebrard_greedy`], where the merge-and-sort
-/// formulation dominated the whole portfolio's runtime.
-fn earliest_fit_merged(a: &Busy, b: &Busy, from: Time, p: Time) -> Time {
+/// Earliest `t ≥ 0` such that `[t, t+p)` avoids every run of both lists,
+/// found by one ascending walk over the two already-sorted lists (two
+/// cursors, no allocation). The walk stops once `t ≥ limit`: the result
+/// is exact when it is below `limit`, and otherwise only known to be
+/// `≥ limit`. For `p = 0` the result is always 0.
+///
+/// This is the innermost (job × machine) loop of [`hebrard_greedy`], which
+/// passes its incumbent start as `limit`.
+fn earliest_fit(a: &Busy, b: &Busy, p: Time, limit: Time) -> Time {
     let (mut i, mut j) = (0, 0);
-    let mut t = from;
-    loop {
-        let next = match (a.iv.get(i), b.iv.get(j)) {
-            (Some(&x), Some(&y)) => {
-                if x <= y {
-                    i += 1;
-                    x
-                } else {
-                    j += 1;
-                    y
-                }
+    let mut t = 0;
+    while t < limit {
+        let (s, e) = match (a.runs.get(i), b.runs.get(j)) {
+            (Some(&x), Some(&y)) if x <= y => {
+                i += 1;
+                x
+            }
+            (_, Some(&y)) => {
+                j += 1;
+                y
             }
             (Some(&x), None) => {
                 i += 1;
                 x
             }
-            (None, Some(&y)) => {
-                j += 1;
-                y
-            }
-            (None, None) => return t,
+            (None, None) => break,
         };
-        let (s, e) = next;
         if t + p <= s {
-            return t;
+            break;
         }
-        if e > t {
-            t = e;
-        }
+        t = t.max(e);
     }
+    t
 }
 
 /// Hebrard-style greedy insertion: repeatedly pick the unscheduled job with
 /// the largest `p_j + p(remaining jobs of its class)` and insert it at the
 /// earliest feasible start over all machines (ties: lower machine index).
+///
+/// Cost: an O(n log n) sort, then per job one `earliest_fit` walk per
+/// machine over that machine's and the job's class's coalesced runs, each
+/// cut short at the best start found so far.
 pub fn hebrard_greedy(inst: &Instance) -> ApproxResult {
     if let Some(r) = trivial(inst) {
         return r;
@@ -144,11 +154,16 @@ pub fn hebrard_greedy(inst: &Instance) -> ApproxResult {
 
     // Priority order: p_j + remaining class load only decreases as the
     // class drains, so a one-shot sort by (class load + size, size)
-    // matches the intent closely and is O(n log n).
+    // matches the intent closely and is O(n log n). The key leaves out the
+    // job id on purpose: adding it would reorder ties, and so change the
+    // schedules.
+    let loads: Vec<Time> = (0..inst.num_classes())
+        .map(|c| inst.class_load(c))
+        .collect();
     let mut order: Vec<JobId> = (0..inst.num_jobs()).collect();
     order.sort_unstable_by_key(|&j| {
-        let c = inst.class_of(j);
-        std::cmp::Reverse((inst.class_load(c) + inst.size(j), inst.size(j)))
+        let p = inst.size(j);
+        Reverse((loads[inst.class_of(j)] + p, p))
     });
 
     let mut assignments = vec![
@@ -161,14 +176,15 @@ pub fn hebrard_greedy(inst: &Instance) -> ApproxResult {
     for j in order {
         let c = inst.class_of(j);
         let p = inst.size(j);
-        let mut best: Option<(Time, usize)> = None;
-        for (q, busy) in machine_busy.iter().enumerate() {
-            let s = earliest_fit_merged(busy, &class_busy[c], 0, p);
-            if best.is_none_or(|(bs, _)| s < bs) {
-                best = Some((s, q));
+        // A later machine wins only with a strictly earlier start, so each
+        // walk may stop once it reaches the incumbent.
+        let (mut s, mut q) = (Time::MAX, 0);
+        for (machine, busy) in machine_busy.iter().enumerate() {
+            let fit = earliest_fit(busy, &class_busy[c], p, s);
+            if fit < s {
+                (s, q) = (fit, machine);
             }
         }
-        let (s, q) = best.expect("m ≥ 1");
         assignments[j] = Assignment {
             machine: q,
             start: s,
@@ -189,26 +205,36 @@ pub fn hebrard_greedy(inst: &Instance) -> ApproxResult {
 /// becomes idle, start the largest unscheduled job whose class is not
 /// currently running; if none is available the machine idles until the next
 /// class completion.
+///
+/// Cost per event: O(m) to find the machine that frees up first plus
+/// O(log k) heap work over the `k` classes. The current time never
+/// decreases, so a class whose resource is idle stays available until it is
+/// picked, and the blocked classes can wait in a heap keyed by release time.
 pub fn list_scheduler(inst: &Instance) -> ApproxResult {
     if let Some(r) = trivial(inst) {
         return r;
     }
     let t = lower_bound(inst);
     let m = inst.machines();
+    let k = inst.num_classes();
     let mut machine_free: Vec<Time> = vec![0; m];
-    let mut class_free: Vec<Time> = vec![0; inst.num_classes()];
-    // Per class: jobs sorted ascending by size (drained from the back,
-    // largest first) plus the remaining class load for tie-breaking.
-    let mut per_class: Vec<Vec<JobId>> = (0..inst.num_classes())
-        .map(|c| {
-            let mut v = inst.class_jobs(c).to_vec();
-            v.sort_unstable_by_key(|&j| inst.size(j));
-            v
-        })
-        .collect();
-    let mut remaining: Vec<Time> = (0..inst.num_classes())
-        .map(|c| inst.class_load(c))
-        .collect();
+    // Each class's jobs, sorted ascending by size within the class's slot
+    // range and drained from the back (largest first): class `c`'s
+    // remaining jobs are `jobs[offsets[c]..end[c]]`. The remaining class
+    // load breaks ties.
+    let offsets = inst.class_offsets();
+    let mut jobs: Vec<JobId> = inst.flat_job_ids().to_vec();
+    for c in 0..k {
+        jobs[inst.class_range(c)].sort_unstable_by_key(|&j| inst.size(j));
+    }
+    let mut end: Vec<usize> = offsets[1..].to_vec();
+    let mut remaining: Vec<Time> = (0..k).map(|c| inst.class_load(c)).collect();
+    // Classes with jobs left whose resource is idle, by (largest job,
+    // remaining load, class): ties go to the higher class index.
+    let mut ready: BinaryHeap<(Time, Time, ClassId)> = BinaryHeap::with_capacity(k);
+    // Classes with jobs left whose resource is busy, by release time.
+    let mut blocked: BinaryHeap<Reverse<(Time, ClassId)>> =
+        inst.nonempty_classes().map(|c| Reverse((0, c))).collect();
 
     let mut assignments = vec![
         Assignment {
@@ -219,40 +245,35 @@ pub fn list_scheduler(inst: &Instance) -> ApproxResult {
     ];
     let mut done = 0usize;
     while done < inst.num_jobs() {
-        // Pick the machine that frees up first.
+        // Pick the machine that frees up first (ties: lower index).
         let q = (0..m).min_by_key(|&q| machine_free[q]).expect("m ≥ 1");
         let now = machine_free[q];
+        while let Some(&Reverse((free, c))) = blocked.peek() {
+            if free > now {
+                break;
+            }
+            blocked.pop();
+            ready.push((inst.size(jobs[end[c] - 1]), remaining[c], c));
+        }
         // Largest available job; ties broken towards the class with the most
         // remaining load (this is what interleaves the conflict classes).
-        let pick = (0..inst.num_classes())
-            .filter(|&c| class_free[c] <= now && !per_class[c].is_empty())
-            .max_by_key(|&c| {
-                (
-                    inst.size(*per_class[c].last().expect("non-empty")),
-                    remaining[c],
-                )
-            });
-        match pick {
-            Some(c) => {
-                let j = per_class[c].pop().expect("non-empty checked");
-                let p = inst.size(j);
-                assignments[j] = Assignment {
+        match ready.pop() {
+            Some((p, _, c)) => {
+                end[c] -= 1;
+                assignments[jobs[end[c]]] = Assignment {
                     machine: q,
                     start: now,
                 };
                 done += 1;
                 remaining[c] -= p;
                 machine_free[q] = now + p;
-                class_free[c] = class_free[c].max(now + p);
+                if end[c] > offsets[c] {
+                    blocked.push(Reverse((now + p, c)));
+                }
             }
             None => {
                 // Idle until the earliest class completion after `now`.
-                let next = (0..inst.num_classes())
-                    .filter(|&c| !per_class[c].is_empty())
-                    .map(|c| class_free[c])
-                    .filter(|&f| f > now)
-                    .min()
-                    .expect("some blocked class must free up");
+                let Reverse((next, _)) = *blocked.peek().expect("some blocked class must free up");
                 machine_free[q] = next;
             }
         }
@@ -280,7 +301,7 @@ pub fn list_scheduler_naive(inst: &Instance) -> ApproxResult {
     let mut machine_free: Vec<Time> = vec![0; m];
     let mut class_free: Vec<Time> = vec![0; inst.num_classes()];
     let mut queue: Vec<JobId> = (0..inst.num_jobs()).collect();
-    queue.sort_unstable_by_key(|&j| std::cmp::Reverse(inst.size(j)));
+    queue.sort_unstable_by_key(|&j| Reverse(inst.size(j)));
 
     let mut assignments = vec![
         Assignment {
@@ -434,22 +455,50 @@ mod tests {
     }
 
     #[test]
-    fn busy_earliest_fit() {
+    fn busy_coalesces_touching_runs() {
         let mut b = Busy::default();
         b.insert(2, 5);
         b.insert(8, 10);
-        assert_eq!(b.earliest_fit(0, 2), 0);
-        assert_eq!(b.earliest_fit(0, 3), 5);
-        assert_eq!(b.earliest_fit(3, 2), 5);
-        assert_eq!(b.earliest_fit(0, 4), 10);
-        assert_eq!(b.earliest_fit(11, 7), 11);
+        b.insert(4, 4);
+        assert_eq!(b.runs, [(2, 5), (8, 10)]);
+        let none = Busy::default();
+        assert_eq!(earliest_fit(&b, &none, 2, Time::MAX), 0);
+        assert_eq!(earliest_fit(&b, &none, 3, Time::MAX), 5);
+        assert_eq!(earliest_fit(&b, &none, 4, Time::MAX), 10);
+        assert_eq!(earliest_fit(&none, &b, 4, Time::MAX), 10);
+        b.insert(5, 6);
+        assert_eq!(b.runs, [(2, 6), (8, 10)]);
+        b.insert(7, 8);
+        assert_eq!(b.runs, [(2, 6), (7, 10)]);
+        b.insert(6, 7);
+        assert_eq!(b.runs, [(2, 10)]);
+        b.insert(11, 12);
+        b.insert(0, 2);
+        assert_eq!(b.runs, [(0, 10), (11, 12)]);
+    }
+
+    /// The pre-coalescing formulation: concatenate both raw interval lists,
+    /// sort, and scan from 0.
+    fn reference_fit(raw: &[(Time, Time)], p: Time) -> Time {
+        let mut iv = raw.to_vec();
+        iv.sort_unstable();
+        let mut t = 0;
+        for (s, e) in iv {
+            if t + p <= s {
+                break;
+            }
+            t = t.max(e);
+        }
+        t
     }
 
     #[test]
     fn merged_fit_matches_the_sort_based_reference() {
-        // Pseudo-random interval pairs: the two-cursor merge walk must
-        // agree with "concatenate, sort, scan" everywhere (including
-        // touching/duplicate intervals and equal starts).
+        // Pseudo-random interval pairs, inserted out of order so that runs
+        // coalesce from both sides: the two-cursor walk over coalesced runs
+        // must agree with "concatenate the raw intervals, sort, scan"
+        // everywhere (touching intervals, equal starts across the lists,
+        // `p = 0`), and a `limit` may only cut results at or above it.
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move |m: u64| -> u64 {
             state ^= state << 13;
@@ -457,38 +506,46 @@ mod tests {
             state ^= state << 17;
             state % m
         };
+        let mut coalesced = 0;
         for _ in 0..500 {
-            let mut a = Busy::default();
-            let mut b = Busy::default();
-            let mut cur = 0;
-            for _ in 0..next(6) {
-                let s = cur + next(4);
-                let e = s + 1 + next(5);
-                a.insert(s, e);
-                cur = e + next(3);
+            let mut raw: Vec<(Time, Time)> = Vec::new();
+            let mut lists = [Busy::default(), Busy::default()];
+            for busy in &mut lists {
+                let mut own = Vec::new();
+                let mut cur = 0;
+                for _ in 0..next(8) {
+                    let s = cur + next(4);
+                    let e = s + 1 + next(5);
+                    own.push((s, e));
+                    cur = e + next(3);
+                }
+                for i in (1..own.len()).rev() {
+                    own.swap(i, next(i as u64 + 1) as usize);
+                }
+                for &(s, e) in &own {
+                    busy.insert(s, e);
+                }
+                assert!(busy.runs.windows(2).all(|w| w[0].1 < w[1].0));
+                coalesced += own.len() - busy.runs.len();
+                raw.extend(own);
             }
-            cur = 0;
-            for _ in 0..next(6) {
-                let s = cur + next(4);
-                let e = s + 1 + next(5);
-                b.insert(s, e);
-                cur = e + next(3);
-            }
-            let mut iv = a.iv.clone();
-            iv.extend_from_slice(&b.iv);
-            iv.sort_unstable();
-            let reference = Busy { iv };
-            for p in 1..6 {
-                for from in 0..4 {
-                    assert_eq!(
-                        earliest_fit_merged(&a, &b, from, p),
-                        reference.earliest_fit(from, p),
-                        "a={:?} b={:?} from={from} p={p}",
-                        a.iv,
-                        b.iv
-                    );
+            let [a, b] = &lists;
+            for p in 0..6 {
+                let want = reference_fit(&raw, p);
+                if p == 0 {
+                    assert_eq!(want, 0);
+                }
+                for limit in (0..=want + 2).chain([Time::MAX]) {
+                    for got in [earliest_fit(a, b, p, limit), earliest_fit(b, a, p, limit)] {
+                        if want < limit {
+                            assert_eq!(got, want, "raw={raw:?} p={p} limit={limit}");
+                        } else {
+                            assert!(got >= limit, "raw={raw:?} p={p} limit={limit}");
+                        }
+                    }
                 }
             }
         }
+        assert!(coalesced > 100, "only {coalesced} intervals coalesced");
     }
 }

@@ -338,6 +338,10 @@ impl Instance {
     }
 
     /// Total processing time `p(c)` of class `c`.
+    ///
+    /// Not cached: each call sums the class's sizes, O(|c|). Hoist it out of
+    /// loops (and sort comparators) that ask for the same class repeatedly —
+    /// collect the loads of all classes once, in O(n).
     pub fn class_load(&self, c: ClassId) -> Time {
         self.class_sizes(c).iter().sum()
     }

@@ -247,8 +247,11 @@ fn cli_bench_rejects_the_retired_baseline_flags() {
     );
 }
 
+/// A prior-work baseline heuristic.
+type Baseline = fn(&Instance) -> ApproxResult;
+
 /// The prior-work baselines whose exact output is pinned below.
-const BASELINES: [(&str, fn(&Instance) -> ApproxResult); 3] = [
+const BASELINES: [(&str, Baseline); 3] = [
     ("hebrard_greedy", baselines::hebrard_greedy),
     ("list_scheduler", baselines::list_scheduler),
     ("merged_lpt", baselines::merged_lpt),
