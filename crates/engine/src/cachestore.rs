@@ -1,54 +1,40 @@
-//! Durable, crash-safe persistence for the result cache.
-//!
-//! A cache store is an append-only JSONL segment log holding
-//! `(canonical fingerprint, config fingerprint, serialized report)`
-//! records, keyed — like the dispatch checkpoint journal — by the
-//! engine's content-relevant configuration fingerprint: a store written
-//! under one configuration refuses to load under another, because the
-//! reports it holds would be wrong answers there.
-//!
-//! ## File format
+//! Durable, crash-safe persistence for the result cache: an append-only
+//! segment log of `(canonical fingerprint, config fingerprint, serialized
+//! report)` records, keyed by the engine's content-relevant configuration
+//! fingerprint — a store written under one configuration refuses to load
+//! under another, because its reports would be wrong answers there.
 //!
 //! ```text
 //! {"cache":"msrs-cache","version":1,"config_fp":…}      header
 //! {"fp":"<32-hex>","config":…,"sum":…,"report":{…}}     record × N
 //! {"segment":0}                                          segment marker
 //! {"fp":…}                                               record × N
-//! {"segment":1}
 //! …
 //! ```
 //!
-//! Every record carries an FNV-1a checksum over its key *and* payload
-//! (`fp:config:report-json`), and the embedded report is the
-//! [`SolveReport::to_store_json`] canonical serialization — parsing a
-//! record and re-serializing its report reproduces the checksummed bytes
-//! exactly, which is how the loader verifies integrity without storing
-//! the payload twice.
-//!
-//! ## Durability and recovery semantics
+//! The header, replay, torn-tail truncation, append and the `sum` rule
+//! come from the journal module (`journal.rs`) the dispatch checkpoint
+//! shares. The sum covers the fingerprint's hex, the config fingerprint
+//! and the report's canonical [`SolveReport::to_store_json`]
+//! serialization, so the loader verifies a record by re-serializing its
+//! parsed report. Segment markers are recognised by their `{"segment":`
+//! prefix, so each line is parsed once.
 //!
 //! * Appends are buffered by the caller ([`ReportCache`]'s background
 //!   flusher batches them) and made durable by [`CacheStore::sync`];
 //!   a record the store synced survives a `kill -9`.
-//! * A crash mid-append can tear at most the final line; the loader
-//!   drops an unterminated tail silently (the entry is simply re-solved
-//!   and re-appended later) and reopening truncates it away.
+//! * A torn final line (a crash mid-append) is dropped and truncated away
+//!   on open; the entry is re-solved and re-appended later.
 //! * A corrupt *complete* record — checksum mismatch, invalid UTF-8 or
 //!   JSON, unknown solver name — quarantines its whole segment: the
-//!   segment's buffered records are discarded, a structured telemetry
-//!   counter (`msrs_cache_store_segments_quarantined_total`) and a log
-//!   line record the loss, and loading continues at the next segment
-//!   marker. Corruption can therefore cost at most one segment
-//!   ([`SEGMENT_RECORDS`] entries), never the store and never a wrong
-//!   answer.
-//! * A parseable header with the wrong magic, version, or configuration
-//!   fingerprint refuses the file outright (`InvalidData`) — silent
-//!   cross-configuration reuse would serve reports the current engine
-//!   could not have produced.
-//!
-//! Reopening for append truncates the torn tail (if any) and writes a
-//! fresh segment marker, so new appends can never be swallowed by a
-//! quarantined trailing segment.
+//!   segment's records are discarded, a telemetry counter
+//!   (`msrs_cache_store_segments_quarantined_total`) and a log line record
+//!   the loss, and loading continues at the next segment marker. At most
+//!   one segment ([`SEGMENT_RECORDS`] entries) is lost, never the store,
+//!   and a wrong answer is never served. Every open writes a fresh marker,
+//!   so new appends never join a quarantined trailing segment.
+//! * A header with the wrong magic, version, or configuration
+//!   fingerprint refuses the file outright (`InvalidData`).
 //!
 //! The deterministic fault kinds `cache-torn:at=N` and
 //! `cache-flip:record=K` (see the [`mod@crate::dispatch`] module docs) mutate
@@ -57,15 +43,14 @@
 //!
 //! [`ReportCache`]: crate::cache::ReportCache
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Seek, SeekFrom, Write};
+use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
 use msrs_telemetry::registry;
 
 use crate::dispatch::{CacheFault, FaultSpec};
-use crate::fnv::{fnv1a_64, FNV1A_64_BASIS};
+use crate::journal::{self, Journal, Kind};
 use crate::json::Json;
 use crate::report::SolveReport;
 
@@ -76,6 +61,12 @@ pub const CACHE_STORE_VERSION: u64 = 1;
 /// Records per segment — the quarantine blast radius of one corrupt
 /// record.
 pub const SEGMENT_RECORDS: usize = 64;
+
+const KIND: Kind = Kind {
+    key: "cache",
+    magic: CACHE_STORE_MAGIC,
+    version: CACHE_STORE_VERSION,
+};
 
 /// One entry loaded from a store: the canonical fingerprint, the parsed
 /// report, and the exact payload bytes it was stored with (what the
@@ -109,60 +100,53 @@ pub struct CacheLoadStats {
 /// which also replays the existing contents.
 #[derive(Debug)]
 pub struct CacheStore {
-    file: File,
+    journal: Journal,
     /// Records appended into the current segment.
     in_segment: usize,
     /// Id of the next segment marker to write.
     next_segment: u64,
 }
 
-/// FNV-1a over the record's key and payload: the canonical fingerprint
-/// (hex), the config fingerprint (decimal), and the report's store
-/// serialization, colon-separated.
-fn record_checksum(fp: u128, config_fp: u64, payload: &str) -> u64 {
-    fnv1a_64(
-        FNV1A_64_BASIS,
-        format!("{fp:032x}:{config_fp}:{payload}").as_bytes(),
-    )
-}
-
-fn header_line(config_fp: u64) -> String {
-    Json::Obj(vec![
-        ("cache".into(), Json::Str(CACHE_STORE_MAGIC.into())),
-        ("version".into(), Json::Num(CACHE_STORE_VERSION as i128)),
-        ("config_fp".into(), Json::Num(config_fp as i128)),
-    ])
-    .to_string()
-}
-
 /// Serializes one record line for `fp` under `config_fp`. `payload` must
 /// be a [`SolveReport::to_store_json`] serialization (the loader verifies
 /// by re-serializing).
 pub fn record_line(fp: u128, config_fp: u64, payload: &str) -> String {
-    let sum = record_checksum(fp, config_fp, payload);
-    format!("{{\"fp\":\"{fp:032x}\",\"config\":{config_fp},\"sum\":{sum},\"report\":{payload}}}")
+    let key = format!("{fp:032x}");
+    let sum = journal::checksum(key.as_bytes(), config_fp, payload.as_bytes());
+    format!("{{\"fp\":\"{key}\",\"config\":{config_fp},\"sum\":{sum},\"report\":{payload}}}")
 }
 
 /// Parses and verifies one complete record line under `config_fp`.
 /// `None` means the record is corrupt or foreign — never a panic.
-fn parse_record(line: &str, config_fp: u64) -> Option<(u128, Arc<str>, Arc<SolveReport>)> {
-    let v = Json::parse(line).ok()?;
-    let fp = u128::from_str_radix(v.get("fp")?.as_str()?, 16).ok()?;
-    let config = v.get("config")?.as_u64()?;
-    if config != config_fp {
+fn parse_record(line: &[u8], config_fp: u64) -> Option<CacheStoreEntry> {
+    let v = Json::parse(std::str::from_utf8(line).ok()?).ok()?;
+    let key = v.get("fp")?.as_str()?;
+    let fingerprint = u128::from_str_radix(key, 16).ok()?;
+    if v.get("config")?.as_u64()? != config_fp {
         return None;
     }
-    let sum = v.get("sum")?.as_u64()?;
     let report_json = v.get("report")?;
-    // The store serialization is canonical: re-serializing the parsed
-    // tree reproduces the exact bytes the checksum covered, so any bit
-    // that changed the content changes the recomputed sum.
     let payload = report_json.to_string();
-    if record_checksum(fp, config, &payload) != sum {
+    if journal::checksum(key.as_bytes(), config_fp, payload.as_bytes()) != v.get("sum")?.as_u64()? {
         return None;
     }
-    let report = SolveReport::from_store_json(report_json)?;
-    Some((fp, payload.into(), Arc::new(report)))
+    Some(CacheStoreEntry {
+        fingerprint,
+        report: Arc::new(SolveReport::from_store_json(report_json)?),
+        payload: payload.into(),
+    })
+}
+
+/// The id of a segment marker line. Only lines with the marker prefix are
+/// parsed here, so a record line is parsed once, by [`parse_record`].
+fn parse_marker(line: &[u8]) -> Option<u64> {
+    if !line.starts_with(b"{\"segment\":") {
+        return None;
+    }
+    Json::parse(std::str::from_utf8(line).ok()?)
+        .ok()?
+        .get("segment")?
+        .as_u64()
 }
 
 /// Applies a `cache-torn` / `cache-flip` fault from `MSRS_FAULT` to the
@@ -225,115 +209,44 @@ impl CacheStore {
         config_fp: u64,
     ) -> io::Result<(CacheStore, Vec<CacheStoreEntry>, CacheLoadStats)> {
         apply_env_fault(path)?;
-        let invalid = |reason: String| io::Error::new(io::ErrorKind::InvalidData, reason);
         let mut entries = Vec::new();
         let mut stats = CacheLoadStats::default();
-        // Byte offset just past the last fully terminated line: what a
-        // reopen may keep. Everything after it is a torn tail.
-        let mut good_len = 0u64;
         let mut next_segment = 0u64;
-        let mut have_header = false;
-        match File::open(path) {
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-            Ok(file) => {
-                let mut reader = BufReader::new(file);
-                let mut buf: Vec<u8> = Vec::new();
-                // Records verified so far in the current segment; committed
-                // at the next segment marker (or EOF), discarded wholesale
-                // if the segment turns out to hold a corrupt record.
-                let mut segment: Vec<CacheStoreEntry> = Vec::new();
-                let mut quarantined = false;
-                loop {
-                    buf.clear();
-                    if reader.read_until(b'\n', &mut buf)? == 0 {
-                        break;
+        // Records verified so far in the current segment; committed at the
+        // next segment marker (or the end), discarded wholesale if the
+        // segment turns out to hold a corrupt record.
+        let mut segment: Vec<CacheStoreEntry> = Vec::new();
+        let mut quarantined = false;
+        let journal = Journal::open(path, &KIND, &[("config_fp", config_fp)], |offset, line| {
+            if let Some(marker) = parse_marker(line) {
+                entries.append(&mut segment);
+                quarantined = false;
+                next_segment = next_segment.max(marker + 1);
+                return Ok(true);
+            }
+            match parse_record(line, config_fp) {
+                Some(entry) if !quarantined => segment.push(entry),
+                Some(_) => {} // rest of a quarantined segment
+                None => {
+                    stats.errors += 1;
+                    if !quarantined {
+                        quarantined = true;
+                        stats.segments_quarantined += 1;
+                        segment.clear();
+                        eprintln!(
+                            "msrs cachestore: corrupt record at byte {offset} of {} — \
+                             quarantining its segment",
+                            path.display()
+                        );
                     }
-                    if !buf.ends_with(b"\n") {
-                        // Torn tail from an interrupted append: drop the
-                        // partial line, keep everything before it.
-                        break;
-                    }
-                    let line_len = buf.len() as u64;
-                    let line = std::str::from_utf8(&buf[..buf.len() - 1]).ok();
-                    if !have_header {
-                        let Some(line) = line else {
-                            return Err(invalid(format!(
-                                "{}: not a cache store (binary header)",
-                                path.display()
-                            )));
-                        };
-                        let header = Json::parse(line)
-                            .ok()
-                            .filter(|v| {
-                                v.get("cache").and_then(Json::as_str) == Some(CACHE_STORE_MAGIC)
-                            })
-                            .ok_or_else(|| {
-                                invalid(format!("{}: not a cache store", path.display()))
-                            })?;
-                        if header.get("version").and_then(Json::as_u64) != Some(CACHE_STORE_VERSION)
-                        {
-                            return Err(invalid(format!(
-                                "{}: unsupported cache store version",
-                                path.display()
-                            )));
-                        }
-                        let file_fp = header.get("config_fp").and_then(Json::as_u64);
-                        if file_fp != Some(config_fp) {
-                            return Err(invalid(format!(
-                                "{}: cache store belongs to a different engine configuration \
-                                 (config_fp {:#x} recorded, {config_fp:#x} requested)",
-                                path.display(),
-                                file_fp.unwrap_or(0),
-                            )));
-                        }
-                        have_header = true;
-                        good_len += line_len;
-                        continue;
-                    }
-                    good_len += line_len;
-                    if let Some(marker) = line
-                        .and_then(|l| Json::parse(l).ok())
-                        .as_ref()
-                        .and_then(|v| v.get("segment"))
-                        .and_then(Json::as_u64)
-                    {
-                        // Segment boundary: commit the survivors, reset the
-                        // quarantine state.
-                        entries.append(&mut segment);
-                        quarantined = false;
-                        next_segment = next_segment.max(marker + 1);
-                        continue;
-                    }
-                    match line.and_then(|l| parse_record(l, config_fp)) {
-                        Some((fingerprint, payload, report)) if !quarantined => {
-                            segment.push(CacheStoreEntry {
-                                fingerprint,
-                                report,
-                                payload,
-                            });
-                        }
-                        Some(_) => {} // rest of a quarantined segment
-                        None => {
-                            stats.errors += 1;
-                            if !quarantined {
-                                quarantined = true;
-                                stats.segments_quarantined += 1;
-                                segment.clear();
-                                eprintln!(
-                                    "msrs cachestore: corrupt record at byte {} of {} — \
-                                     quarantining its segment",
-                                    good_len - line_len,
-                                    path.display()
-                                );
-                            }
-                        }
-                    }
-                }
-                if !quarantined {
-                    entries.append(&mut segment);
                 }
             }
+            // Quarantined records stay on disk; the marker written below
+            // isolates new appends from them.
+            Ok(true)
+        })?;
+        if !quarantined {
+            entries.append(&mut segment);
         }
         stats.loaded = entries.len() as u64;
         let reg = registry();
@@ -341,37 +254,19 @@ impl CacheStore {
         reg.cache_store_load_errors_total.add(stats.errors);
         reg.cache_store_segments_quarantined_total
             .add(stats.segments_quarantined);
-        let mut store = if have_header {
-            let file = OpenOptions::new().read(true).write(true).open(path)?;
-            // Truncate the torn tail (and any unterminated garbage after
-            // the last good line) before appending.
-            file.set_len(good_len)?;
-            let mut file = file;
-            file.seek(SeekFrom::End(0))?;
-            CacheStore {
-                file,
-                in_segment: 0,
-                next_segment,
-            }
-        } else {
-            // Missing, empty, or header-torn file: start fresh.
-            let mut file = File::create(path)?;
-            writeln!(file, "{}", header_line(config_fp))?;
-            CacheStore {
-                file,
-                in_segment: 0,
-                next_segment: 0,
-            }
+        let mut store = CacheStore {
+            journal,
+            in_segment: 0,
+            next_segment,
         };
-        // A fresh segment marker isolates new appends from whatever the
-        // trailing loaded segment held (possibly quarantined records).
         store.write_marker()?;
-        store.file.sync_data()?;
+        store.journal.sync()?;
         Ok((store, entries, stats))
     }
 
     fn write_marker(&mut self) -> io::Result<()> {
-        writeln!(self.file, "{{\"segment\":{}}}", self.next_segment)?;
+        self.journal
+            .append(&format!("{{\"segment\":{}}}", self.next_segment))?;
         self.next_segment += 1;
         self.in_segment = 0;
         Ok(())
@@ -381,7 +276,7 @@ impl CacheStore {
     /// a batch durable). `payload` must be the report's
     /// [`SolveReport::to_store_json`] serialization.
     pub fn append(&mut self, fp: u128, config_fp: u64, payload: &str) -> io::Result<()> {
-        writeln!(self.file, "{}", record_line(fp, config_fp, payload))?;
+        self.journal.append(&record_line(fp, config_fp, payload))?;
         self.in_segment += 1;
         if self.in_segment >= SEGMENT_RECORDS {
             self.write_marker()?;
@@ -392,7 +287,7 @@ impl CacheStore {
     /// Makes every appended record durable (one `fsync`, counted as one
     /// `msrs_cache_store_flushes_total` batch).
     pub fn sync(&mut self) -> io::Result<()> {
-        self.file.sync_data()?;
+        self.journal.sync()?;
         registry().cache_store_flushes_total.inc();
         Ok(())
     }
@@ -404,6 +299,8 @@ mod tests {
     use crate::portfolio::SolverKind;
     use crate::report::{RunStatus, SolverRun};
     use msrs_core::{Assignment, Schedule};
+    use std::fs::OpenOptions;
+    use std::io::Write;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {

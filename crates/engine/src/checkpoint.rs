@@ -3,35 +3,51 @@
 //! The dispatch coordinator journals one record per *emitted* shard so a
 //! crashed or interrupted run can resume from the last completed shard and
 //! still produce a report stream bit-identical to an uninterrupted run.
-//! The journal is JSONL: a header line keyed by the engine's
-//! content-relevant configuration fingerprint and the shard size, followed
-//! by shard-completion records in emission (= shard) order. Every append
-//! is flushed and `fsync`'d before the coordinator considers the shard
-//! durable, and the *output* file is synced first — so a record in the
-//! journal always describes bytes that are really on disk.
 //!
-//! Durability contract for the tail: a crash mid-append can leave at most
-//! one torn final line, which [`load`] detects and discards (the shard it
-//! described is simply redone). A torn or unparsable line *before* the
-//! tail means the file was corrupted by something other than an
-//! interrupted append, and loading fails loudly instead of guessing.
+//! ```text
+//! {"checkpoint":"msrs-dispatch","version":2,"config_fp":…,"shard_size":…}
+//! {"shard":0,"sum":…,"record":{"lines":…,"shard_fp":…,"out_bytes":…,…}}
+//! ```
 //!
-//! All numbers in the journal are integers (the crate's JSON layer is
-//! integer-exact by design); the two floating-point stats fields travel as
-//! IEEE-754 bit patterns, so merging checkpointed stats into a resumed
-//! run's summary is bits-exact.
+//! The file is a journal (`journal.rs`, shared with the cache store) keyed
+//! by the engine's content-relevant configuration fingerprint and the
+//! shard size; a resume refuses a journal with another key. Records follow
+//! in shard order, each checksummed over its shard index, the config
+//! fingerprint and its canonical `record` object, so a flipped bit can
+//! never make a resume trust a wrong output length. Every append is
+//! `fsync`'d, after the *output* file — so a record always describes bytes
+//! that are really on disk.
+//!
+//! A crash mid-append leaves at most one torn final line, which
+//! [`CheckpointLog::open`] drops and truncates away before the next append
+//! (the shard it described is simply redone); a final record that fails
+//! verification is dropped the same way. A rejected record *before* the
+//! last line means damage other than an interrupted append, and the open
+//! fails with `InvalidData` instead of guessing.
+//!
+//! All numbers are integers (the crate's JSON layer is integer-exact by
+//! design); the two floating-point stats fields travel as IEEE-754 bit
+//! patterns, so merging checkpointed stats into a resumed run's summary is
+//! bits-exact.
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io;
 use std::path::Path;
 
+use crate::journal::{self, Journal, Kind};
 use crate::json::Json;
 use crate::stream::StreamStats;
 
 /// Magic string identifying a dispatch checkpoint journal.
 pub const CHECKPOINT_MAGIC: &str = "msrs-dispatch";
-/// Journal format version; bumped on incompatible record changes.
-pub const CHECKPOINT_VERSION: u64 = 1;
+/// Journal format version; bumped on incompatible record changes (2 added
+/// the record checksum).
+pub const CHECKPOINT_VERSION: u64 = 2;
+
+const KIND: Kind = Kind {
+    key: "checkpoint",
+    magic: CHECKPOINT_MAGIC,
+    version: CHECKPOINT_VERSION,
+};
 
 /// The journal header: what run this checkpoint belongs to. A resume
 /// refuses to reuse a journal whose configuration fingerprint or shard
@@ -43,30 +59,6 @@ pub struct CheckpointHeader {
     pub config_fp: u64,
     /// Shard size the corpus is split with.
     pub shard_size: usize,
-}
-
-impl CheckpointHeader {
-    fn to_line(self) -> String {
-        Json::Obj(vec![
-            ("checkpoint".into(), Json::Str(CHECKPOINT_MAGIC.into())),
-            ("version".into(), Json::Num(CHECKPOINT_VERSION as i128)),
-            ("config_fp".into(), Json::Num(self.config_fp as i128)),
-            ("shard_size".into(), Json::Num(self.shard_size as i128)),
-        ])
-        .to_string()
-    }
-
-    fn from_json(v: &Json) -> Option<Self> {
-        if v.get("checkpoint")?.as_str()? != CHECKPOINT_MAGIC
-            || v.get("version")?.as_u64()? != CHECKPOINT_VERSION
-        {
-            return None;
-        }
-        Some(CheckpointHeader {
-            config_fp: v.get("config_fp")?.as_u64()?,
-            shard_size: v.get("shard_size")?.as_usize()?,
-        })
-    }
 }
 
 /// Per-shard summary stats as they travel on the worker wire protocol and
@@ -190,160 +182,115 @@ pub struct ShardRecord {
 }
 
 impl ShardRecord {
-    fn to_line(self) -> String {
-        let mut obj = vec![
-            ("shard".into(), Json::Num(self.shard as i128)),
+    fn to_line(self, config_fp: u64) -> String {
+        let mut fields = vec![
             ("lines".into(), Json::Num(self.lines as i128)),
             ("shard_fp".into(), Json::Num(self.shard_fp as i128)),
             ("out_bytes".into(), Json::Num(self.out_bytes as i128)),
             ("attempts".into(), Json::Num(self.attempts as i128)),
             ("quarantined".into(), Json::Bool(self.quarantined)),
         ];
-        obj.extend(self.stats.to_json_fields());
-        Json::Obj(obj).to_string()
+        fields.extend(self.stats.to_json_fields());
+        let payload = Json::Obj(fields).to_string();
+        let key = self.shard.to_string();
+        let sum = journal::checksum(key.as_bytes(), config_fp, payload.as_bytes());
+        format!("{{\"shard\":{key},\"sum\":{sum},\"record\":{payload}}}")
     }
 
-    fn from_json(v: &Json) -> Option<Self> {
+    /// Parses and verifies one record line; `None` when it is corrupt.
+    fn from_line(line: &[u8], config_fp: u64) -> Option<Self> {
+        let v = Json::parse(std::str::from_utf8(line).ok()?).ok()?;
+        let shard = v.get("shard")?.as_usize()?;
+        let record = v.get("record")?;
+        let payload = record.to_string();
+        let sum = journal::checksum(shard.to_string().as_bytes(), config_fp, payload.as_bytes());
+        if sum != v.get("sum")?.as_u64()? {
+            return None;
+        }
         Some(ShardRecord {
-            shard: v.get("shard")?.as_usize()?,
-            lines: v.get("lines")?.as_usize()?,
-            shard_fp: v.get("shard_fp")?.as_u64()?,
-            out_bytes: v.get("out_bytes")?.as_u64()?,
-            attempts: v.get("attempts")?.as_u64()? as u32,
-            quarantined: matches!(v.get("quarantined")?, Json::Bool(true)),
-            stats: ShardStats::from_json(v)?,
+            shard,
+            lines: record.get("lines")?.as_usize()?,
+            shard_fp: record.get("shard_fp")?.as_u64()?,
+            out_bytes: record.get("out_bytes")?.as_u64()?,
+            attempts: u32::try_from(record.get("attempts")?.as_u64()?).ok()?,
+            quarantined: matches!(record.get("quarantined")?, Json::Bool(true)),
+            stats: ShardStats::from_json(record)?,
         })
     }
 }
 
-/// The append side of the journal. Owns the file handle; every
-/// [`append`](Self::append) is write + flush + `sync_data`, so a record
-/// that `append` returned `Ok` for survives a process crash.
+/// The append side of the journal. Every [`append`](Self::append) is
+/// write + `sync_data`, so a record that `append` returned `Ok` for
+/// survives a process crash.
 #[derive(Debug)]
 pub struct CheckpointLog {
-    file: File,
+    journal: Journal,
+    config_fp: u64,
 }
 
 impl CheckpointLog {
-    /// Starts a fresh journal at `path` (truncating any previous one) and
-    /// durably writes the header.
-    pub fn create(path: &Path, header: CheckpointHeader) -> io::Result<Self> {
-        let mut file = File::create(path)?;
-        writeln!(file, "{}", header.to_line())?;
-        file.sync_data()?;
-        Ok(CheckpointLog { file })
-    }
-
-    /// Reopens an existing journal for appending (resume path). The caller
-    /// has already validated the header via [`load`].
-    pub fn open_append(path: &Path) -> io::Result<Self> {
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok(CheckpointLog { file })
+    /// Opens the journal at `path` for the run keyed by `header` and
+    /// returns it with the shard records it holds, in shard order
+    /// (`records[i].shard == i`). A missing or empty file starts a fresh
+    /// journal. Fails with `InvalidData` when the file is not a
+    /// checkpoint, belongs to another run, or holds a corrupt or
+    /// out-of-order record before its last line. A torn or corrupt final
+    /// line is dropped and truncated away, so the next append follows the
+    /// last good record.
+    pub fn open(
+        path: &Path,
+        header: CheckpointHeader,
+    ) -> io::Result<(CheckpointLog, Vec<ShardRecord>)> {
+        let mut records = Vec::new();
+        // Line number of a record that failed verification: tolerated only
+        // as the last line.
+        let mut rejected = None;
+        let run_key = [
+            ("config_fp", header.config_fp),
+            ("shard_size", header.shard_size as u64),
+        ];
+        let journal = Journal::open(path, &KIND, &run_key, |_, line| {
+            if let Some(line_no) = rejected {
+                return Err(format!("corrupt or out-of-order record at line {line_no}"));
+            }
+            match ShardRecord::from_line(line, header.config_fp) {
+                Some(rec) if rec.shard == records.len() => {
+                    records.push(rec);
+                    Ok(true)
+                }
+                _ => {
+                    rejected = Some(records.len() + 2);
+                    Ok(false)
+                }
+            }
+        })?;
+        let mut log = CheckpointLog {
+            journal,
+            config_fp: header.config_fp,
+        };
+        log.journal.sync()?;
+        Ok((log, records))
     }
 
     /// Durably appends one shard-completion record.
     pub fn append(&mut self, record: &ShardRecord) -> io::Result<()> {
-        writeln!(self.file, "{}", record.to_line())?;
-        self.file.sync_data()
+        self.journal.append(&record.to_line(self.config_fp))?;
+        self.journal.sync()
     }
-}
-
-/// A journal read back for resume: the validated header plus the
-/// contiguous shard records it holds.
-#[derive(Debug)]
-pub struct LoadedCheckpoint {
-    /// The run key the journal was created with.
-    pub header: CheckpointHeader,
-    /// Shard records in shard order (`records[i].shard == i`).
-    pub records: Vec<ShardRecord>,
-}
-
-impl LoadedCheckpoint {
-    /// Output-file length the records vouch for (0 with no records).
-    pub fn out_bytes(&self) -> u64 {
-        self.records.last().map(|r| r.out_bytes).unwrap_or(0)
-    }
-}
-
-/// Reads a journal back. Returns `Ok(None)` when `path` does not exist
-/// (fresh run); `Err` when the file exists but is not a valid journal —
-/// wrong magic/version, records out of order, or corruption anywhere but
-/// the tail. A torn final line (interrupted append) is silently dropped.
-pub fn load(path: &Path) -> io::Result<Option<LoadedCheckpoint>> {
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let invalid = |reason: String| io::Error::new(io::ErrorKind::InvalidData, reason);
-    let mut lines = Vec::new();
-    let mut reader = BufReader::new(file);
-    let mut buf = String::new();
-    let mut terminated = true;
-    loop {
-        buf.clear();
-        if reader.read_line(&mut buf)? == 0 {
-            break;
-        }
-        terminated = buf.ends_with('\n');
-        lines.push(buf.trim_end_matches('\n').to_string());
-    }
-    // An interrupted append can only tear the tail; drop it.
-    if !terminated {
-        lines.pop();
-    }
-    let Some(header_line) = lines.first() else {
-        return Ok(None); // empty file: treat as no checkpoint
-    };
-    let header = Json::parse(header_line)
-        .ok()
-        .as_ref()
-        .and_then(CheckpointHeader::from_json)
-        .ok_or_else(|| {
-            invalid(format!(
-                "{}: not a dispatch checkpoint journal",
-                path.display()
-            ))
-        })?;
-    let mut records = Vec::new();
-    for (i, line) in lines.iter().enumerate().skip(1) {
-        let is_tail = i + 1 == lines.len();
-        let parsed = Json::parse(line)
-            .ok()
-            .as_ref()
-            .and_then(ShardRecord::from_json);
-        match parsed {
-            Some(rec) => {
-                if rec.shard != records.len() {
-                    return Err(invalid(format!(
-                        "{}: record {} out of order (shard {}, expected {})",
-                        path.display(),
-                        i,
-                        rec.shard,
-                        records.len()
-                    )));
-                }
-                records.push(rec);
-            }
-            // A terminated-but-unparsable tail line still means the file
-            // ends mid-story (e.g. a torn write that happened to land on
-            // `\n`); redoing one shard is always safe.
-            None if is_tail => break,
-            None => {
-                return Err(invalid(format!(
-                    "{}: corrupt record at line {}",
-                    path.display(),
-                    i + 1
-                )));
-            }
-        }
-    }
-    Ok(Some(LoadedCheckpoint { header, records }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
+
+    fn tmp(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("msrs-ckpt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        path
+    }
 
     fn header() -> CheckpointHeader {
         CheckpointHeader {
@@ -369,74 +316,112 @@ mod tests {
         }
     }
 
+    /// Opens (or creates) the journal at `path` and appends `records`.
+    fn fill(path: &Path, records: &[ShardRecord]) {
+        let (mut log, _) = CheckpointLog::open(path, header()).unwrap();
+        for rec in records {
+            log.append(rec).unwrap();
+        }
+    }
+
     #[test]
     fn round_trips_header_and_records() {
-        let dir = std::env::temp_dir().join(format!("msrs-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("round_trip.ckpt");
-        let mut log = CheckpointLog::create(&path, header()).unwrap();
-        log.append(&record(0)).unwrap();
-        log.append(&record(1)).unwrap();
-        drop(log);
-        let loaded = load(&path).unwrap().unwrap();
-        assert_eq!(loaded.header, header());
-        assert_eq!(loaded.records, vec![record(0), record(1)]);
-        assert_eq!(loaded.out_bytes(), 200);
+        let path = tmp("round_trip.ckpt");
+        fill(&path, &[record(0), record(1)]);
+        let (_log, records) = CheckpointLog::open(&path, header()).unwrap();
+        assert_eq!(records, vec![record(0), record(1)]);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn missing_file_is_fresh_run_and_torn_tail_is_dropped() {
-        let dir = std::env::temp_dir().join(format!("msrs-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        assert!(load(&dir.join("nope.ckpt")).unwrap().is_none());
+    fn missing_and_empty_files_start_fresh() {
+        let path = tmp("fresh.ckpt");
+        let (_log, records) = CheckpointLog::open(&path, header()).unwrap();
+        assert!(records.is_empty());
+        std::fs::write(&path, "").unwrap();
+        let (_log, records) = CheckpointLog::open(&path, header()).unwrap();
+        assert!(records.is_empty());
+        std::fs::remove_file(&path).unwrap();
+    }
 
-        let path = dir.join("torn.ckpt");
-        let mut log = CheckpointLog::create(&path, header()).unwrap();
-        log.append(&record(0)).unwrap();
-        drop(log);
-        // Simulate a crash mid-append: a record line without its newline.
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+    /// A crash mid-append tears the tail. The resume drops it, and its
+    /// reopen truncates it away so the next records do not glue onto the
+    /// partial line: a second resume still loads every record.
+    #[test]
+    fn torn_tail_is_dropped_and_a_second_resume_still_loads() {
+        let path = tmp("torn.ckpt");
+        fill(&path, &[record(0)]);
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
         write!(f, "{{\"shard\":1,\"lin").unwrap();
         drop(f);
-        let loaded = load(&path).unwrap().unwrap();
-        assert_eq!(loaded.records.len(), 1);
+        let (mut log, records) = CheckpointLog::open(&path, header()).unwrap();
+        assert_eq!(records, vec![record(0)]);
+        log.append(&record(1)).unwrap();
+        log.append(&record(2)).unwrap();
+        drop(log);
+        let (_log, records) = CheckpointLog::open(&path, header()).unwrap();
+        assert_eq!(records, vec![record(0), record(1), record(2)]);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn rejects_foreign_files_and_mid_file_corruption() {
-        let dir = std::env::temp_dir().join(format!("msrs-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("foreign.ckpt");
+    fn rejects_foreign_files_other_runs_and_old_versions() {
+        let path = tmp("foreign.ckpt");
         std::fs::write(&path, "{\"makespan\":3}\n").unwrap();
-        assert!(load(&path).is_err());
+        let err = CheckpointLog::open(&path, header()).unwrap_err();
+        assert!(
+            err.to_string().contains("not a checkpoint journal"),
+            "{err}"
+        );
 
-        let path2 = dir.join("corrupt.ckpt");
-        let mut log = CheckpointLog::create(&path2, header()).unwrap();
-        log.append(&record(0)).unwrap();
-        drop(log);
-        let text = std::fs::read_to_string(&path2).unwrap();
-        std::fs::write(
-            &path2,
-            format!("{}garbage\n{}", &text[..text.len() - 1], ""),
-        )
-        .unwrap();
-        // ("garbage" glued into the record line, then nothing) — the
-        // tail record is unparsable and dropped, not an error…
-        assert_eq!(load(&path2).unwrap().unwrap().records.len(), 0);
-        // …but corruption *before* a valid record is a hard error.
-        let mut log = CheckpointLog::create(&path2, header()).unwrap();
-        log.append(&record(0)).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        fill(&path, &[record(0)]);
+        let other = CheckpointHeader {
+            shard_size: 4,
+            ..header()
+        };
+        let err = CheckpointLog::open(&path, other).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("different engine configuration"),
+            "{err}"
+        );
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replacen("\"version\":2", "\"version\":1", 1)).unwrap();
+        let err = CheckpointLog::open(&path, header()).unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("unsupported checkpoint journal version"));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn corrupt_tail_is_dropped_but_earlier_corruption_is_an_error() {
+        let path = tmp("corrupt.ckpt");
+        fill(&path, &[record(0), record(1)]);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines[2] = "garbage";
+        std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
+        // The unverifiable final line is dropped and cut before appending.
+        let (mut log, records) = CheckpointLog::open(&path, header()).unwrap();
+        assert_eq!(records, vec![record(0)]);
         log.append(&record(1)).unwrap();
         drop(log);
-        let text = std::fs::read_to_string(&path2).unwrap();
+        let (_log, records) = CheckpointLog::open(&path, header()).unwrap();
+        assert_eq!(records, vec![record(0), record(1)]);
+        // Corruption *before* a valid record is a hard error.
+        let text = std::fs::read_to_string(&path).unwrap();
         let mut lines: Vec<&str> = text.lines().collect();
         lines[1] = "not json";
-        std::fs::write(&path2, format!("{}\n", lines.join("\n"))).unwrap();
-        assert!(load(&path2).is_err());
+        std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
+        let err = CheckpointLog::open(&path, header()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(&path2).unwrap();
     }
 
     #[test]

@@ -143,7 +143,7 @@ use std::time::{Duration, Instant};
 use msrs_telemetry::registry;
 
 use crate::cachestore::CacheStore;
-use crate::checkpoint::{self, CheckpointHeader, CheckpointLog, ShardRecord, ShardStats};
+use crate::checkpoint::{CheckpointHeader, CheckpointLog, ShardRecord, ShardStats};
 use crate::fnv::{fnv1a_64, FNV1A_64_BASIS};
 use crate::json::{Json, JsonError};
 use crate::jsonl::CorpusError;
@@ -1989,59 +1989,42 @@ pub fn dispatch_fleet<R: BufRead>(
     let invalid = |reason: String| io::Error::new(io::ErrorKind::InvalidData, reason);
     let mut ckpt_log = None;
     if let Some(path) = checkpoint_path {
-        match checkpoint::load(path)? {
-            None => {
-                ckpt_log = Some(CheckpointLog::create(path, header)?);
-            }
-            Some(loaded) => {
-                if loaded.header != header {
-                    return Err(invalid(format!(
-                        "{}: checkpoint belongs to a different run \
-                         (config_fp {:#x}/shard_size {} recorded, {:#x}/{} requested)",
+        let (log, records) = CheckpointLog::open(path, header)?;
+        for rec in &records {
+            let shard = source
+                .next_shard(cfg.shard_size)
+                .map_err(|e| invalid(format!("re-reading corpus for resume: {e}")))?
+                .ok_or_else(|| {
+                    invalid(format!(
+                        "{}: checkpoint records shard {} but the corpus ended",
                         path.display(),
-                        loaded.header.config_fp,
-                        loaded.header.shard_size,
-                        header.config_fp,
-                        header.shard_size,
-                    )));
-                }
-                for rec in &loaded.records {
-                    let shard = source
-                        .next_shard(cfg.shard_size)
-                        .map_err(|e| invalid(format!("re-reading corpus for resume: {e}")))?
-                        .ok_or_else(|| {
-                            invalid(format!(
-                                "{}: checkpoint records shard {} but the corpus ended",
-                                path.display(),
-                                rec.shard
-                            ))
-                        })?;
-                    if shard.fp != rec.shard_fp || shard.lines.len() != rec.lines {
-                        return Err(invalid(format!(
-                            "{}: corpus changed since the checkpoint (shard {} fingerprint mismatch)",
-                            path.display(),
-                            rec.shard
-                        )));
-                    }
-                    rec.stats.merge_into(&mut merged);
-                    if rec.quarantined {
-                        coord.quarantined.push(QuarantinedShard {
-                            shard: rec.shard,
-                            attempts: rec.attempts,
-                            worker: None,
-                            message: "quarantined in a previous run".into(),
-                        });
-                    } else {
-                        merged.shards += 1;
-                    }
-                    registry().dispatch_shards_resumed_total.inc();
-                }
-                shards_resumed = loaded.records.len();
-                next_emit = shards_resumed;
-                emitted_bytes = loaded.out_bytes();
-                ckpt_log = Some(CheckpointLog::open_append(path)?);
+                        rec.shard
+                    ))
+                })?;
+            if shard.fp != rec.shard_fp || shard.lines.len() != rec.lines {
+                return Err(invalid(format!(
+                    "{}: corpus changed since the checkpoint (shard {} fingerprint mismatch)",
+                    path.display(),
+                    rec.shard
+                )));
             }
+            rec.stats.merge_into(&mut merged);
+            if rec.quarantined {
+                coord.quarantined.push(QuarantinedShard {
+                    shard: rec.shard,
+                    attempts: rec.attempts,
+                    worker: None,
+                    message: "quarantined in a previous run".into(),
+                });
+            } else {
+                merged.shards += 1;
+            }
+            registry().dispatch_shards_resumed_total.inc();
         }
+        shards_resumed = records.len();
+        next_emit = shards_resumed;
+        emitted_bytes = records.last().map_or(0, |r| r.out_bytes);
+        ckpt_log = Some(log);
     }
 
     // --- output file ------------------------------------------------------

@@ -427,7 +427,7 @@ impl Engine {
     ///
     /// The borrowed slice is copied once up front (pool jobs are `'static`
     /// and cannot hold the borrow); callers that own their requests — the
-    /// streaming shard pipeline does — should use
+    /// [`ServiceCore`](crate::stream::ServiceCore) does — should use
     /// [`solve_batch_vec`](Self::solve_batch_vec), which shares them
     /// zero-copy behind an `Arc`.
     pub fn solve_batch(&self, reqs: &[SolveRequest]) -> Vec<SolveReport> {
@@ -435,10 +435,10 @@ impl Engine {
     }
 
     /// [`solve_batch`](Self::solve_batch) taking ownership of the requests —
-    /// the zero-copy entry point of the streaming shard pipeline
-    /// ([`crate::stream::solve_stream`]): pool workers share the request
-    /// vector behind an `Arc` instead of cloning it, so a shard costs
-    /// exactly its own allocation.
+    /// the zero-copy entry point [`crate::stream::ServiceCore`] solves each
+    /// shard's cache misses through: pool workers share the request vector
+    /// behind an `Arc` instead of cloning it, so a shard costs exactly its
+    /// own allocation.
     pub fn solve_batch_vec(&self, reqs: Vec<SolveRequest>) -> Vec<SolveReport> {
         if self.cache_active() {
             return self.solve_batch_deduped(reqs);

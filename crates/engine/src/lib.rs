@@ -69,6 +69,7 @@ pub mod dispatch;
 pub mod engine;
 pub mod families;
 pub mod fnv;
+mod journal;
 pub mod json;
 pub mod jsonl;
 pub mod portfolio;
@@ -95,6 +96,5 @@ pub use rayon::PoolStats;
 pub use remote::{run_remote_worker, RemoteHub, RemoteWorkerConfig, REMOTE_PROTO_VERSION};
 pub use report::{RunStatus, SolveReport, SolveRequest, SolverRun};
 pub use stream::{
-    serve_jsonl, solve_stream, JsonlReader, JsonlServer, ServiceCore, StreamOutcome, StreamStats,
-    DEFAULT_SHARD_SIZE,
+    serve_jsonl, JsonlServer, ServiceCore, StreamOutcome, StreamStats, DEFAULT_SHARD_SIZE,
 };

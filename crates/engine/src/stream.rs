@@ -9,9 +9,9 @@
 //!   misses, and serialize every report — cache **hits straight from the
 //!   `Arc`'d canonical report** into a reusable byte buffer: no `Instance`,
 //!   no `SolveRequest`, no report clone, zero heap allocations per instance
-//!   once the buffers are warm. Both the batch driver below and the TCP
-//!   front end in [`crate::service`] run on it, so there is exactly one
-//!   data plane.
+//!   once the buffers are warm. `msrs batch`, the TCP front end in
+//!   [`crate::service`] and the dispatch workers all run on it, so there
+//!   is exactly one data plane.
 //! * [`serve_jsonl`] / [`JsonlServer`] — the thin *batch driver*: JSONL in,
 //!   JSONL out, feeding `ServiceCore` shard by shard. With
 //!   [`JsonlServer::set_decode_threads`] the single-reader parse bottleneck
@@ -19,15 +19,11 @@
 //!   (thread-local [`LineDecoder`]s, chunked deterministically,
 //!   order-preserving merge) before the sequential cache-probe/solve/emit
 //!   steps. Output is byte-identical to the sequential path.
-//! * [`solve_stream`] — the *typed* pipeline: an iterator of
-//!   [`SolveRequest`]s (e.g. a [`JsonlReader`]) is fed through
-//!   [`Engine::solve_batch_vec`] shard by shard and each [`SolveReport`] is
-//!   handed to a callback in corpus order.
 //!
-//! Error semantics are *prefix-faithful* for all paths: when a malformed
-//! line is hit mid-stream, everything successfully parsed before it —
-//! including a partial final shard — is solved and emitted, and the error
-//! (with its 1-based line number) is surfaced in [`StreamOutcome::error`]
+//! Error semantics are *prefix-faithful*: when a malformed line is hit
+//! mid-stream, everything successfully parsed before it — including a
+//! partial final shard — is solved and emitted, and the error (with its
+//! 1-based physical line number) is surfaced in [`StreamOutcome::error`]
 //! afterwards.
 //!
 //! Determinism: a sharded run's reports are bit-identical to an unsharded
@@ -35,8 +31,8 @@
 //! or without parallel decode — except for the `wall_micros` timings and
 //! `cache_hit` provenance flags (sharding changes *when* a duplicate is
 //! served from the cache versus deduplicated within its batch, never what
-//! the report says about the schedule). Covered by `tests/stream.rs`,
-//! `tests/serve.rs`, and `tests/service.rs`.
+//! the report says about the schedule). Covered by `tests/serve.rs` and
+//! `tests/service.rs`.
 
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
@@ -56,68 +52,6 @@ use crate::report::{SolveReport, SolveRequest};
 /// set regardless of corpus length.
 pub const DEFAULT_SHARD_SIZE: usize = 4096;
 
-/// An incremental JSONL instance reader: yields one [`SolveRequest`] per
-/// non-blank, non-`#` line, parsed as it is read (the input is never
-/// materialized as a whole). Line numbers are physical and 1-based, exactly
-/// as [`crate::jsonl::read_corpus`] reports them. Decoding goes through a
-/// retained
-/// [`LineDecoder`], so per-line parsing reuses its buffers; only the
-/// materialized [`SolveRequest`] itself is allocated.
-pub struct JsonlReader<R> {
-    inner: R,
-    line_no: usize,
-    buf: String,
-    decoder: LineDecoder,
-}
-
-impl<R: BufRead> JsonlReader<R> {
-    /// Wraps a buffered reader positioned at the start of a corpus.
-    pub fn new(inner: R) -> Self {
-        JsonlReader {
-            inner,
-            line_no: 0,
-            buf: String::new(),
-            decoder: LineDecoder::new(),
-        }
-    }
-
-    /// The number of the last physical line read (1-based; 0 before the
-    /// first read).
-    pub fn line_no(&self) -> usize {
-        self.line_no
-    }
-}
-
-impl<R: BufRead> Iterator for JsonlReader<R> {
-    type Item = Result<SolveRequest, CorpusError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            self.buf.clear();
-            self.line_no += 1;
-            match self.inner.read_line(&mut self.buf) {
-                Ok(0) => return None,
-                Ok(_) => {}
-                Err(e) => {
-                    return Some(Err(CorpusError::Io {
-                        line: self.line_no,
-                        message: e.to_string(),
-                    }))
-                }
-            }
-            let line = self.buf.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            return Some(
-                self.decoder
-                    .decode(self.line_no, line)
-                    .map(|()| self.decoder.build_request()),
-            );
-        }
-    }
-}
-
 /// Merged summary statistics of one streamed run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamStats {
@@ -127,15 +61,14 @@ pub struct StreamStats {
     pub shards: usize,
     /// Configured shard size.
     pub shard_size: usize,
-    /// Largest number of requests resident at once (≤ `shard_size`) — the
-    /// memory high-water mark of the pipeline, in requests. The byte-level
-    /// serve path only materializes cache *misses*, so there this counts
-    /// materialized requests (0 for a fully cache-served stream).
+    /// Largest number of requests materialized at once (≤ `shard_size`) —
+    /// the memory high-water mark of the pipeline, in requests. Only cache
+    /// *misses* are materialized, so a fully cache-served stream reads 0.
     pub max_resident: usize,
     /// Reports with a proven-optimal schedule.
     pub proven_optimal: usize,
-    /// Requests served directly from the result cache by the byte-level
-    /// serve path (0 for [`solve_stream`], which reports hits per report).
+    /// Requests served at the byte level, from the result cache or as an
+    /// in-shard duplicate, without being materialized.
     pub fast_path_hits: usize,
     /// Sum of per-report `makespan / lower_bound` ratios (mean =
     /// `ratio_sum / instances`).
@@ -147,9 +80,9 @@ pub struct StreamStats {
     /// Time spent reading and decoding input (JSONL parse), µs.
     pub parse_micros: u64,
     /// Time spent fingerprinting/canonicalizing decoded lines and probing
-    /// the result cache, µs. Only the byte-level serve path populates this:
-    /// the typed pipeline canonicalizes inside the solver batch, where the
-    /// time lands in `solve_micros`.
+    /// the result cache, µs. With the serve cache inactive, lines are
+    /// canonicalized inside the solver batch and the time lands in
+    /// `solve_micros`.
     pub canon_micros: u64,
     /// Time spent inside the solver batches, µs.
     pub solve_micros: u64,
@@ -244,86 +177,6 @@ impl Phases {
     }
 }
 
-/// Streams `requests` through `engine` in shards of `shard_size`, calling
-/// `emit` for every report in corpus order. Memory stays O(`shard_size`):
-/// one shard of requests and its reports at a time.
-///
-/// `Err` is returned only for `emit` failures (typically downstream I/O);
-/// corpus-level parse errors end the stream early and come back in
-/// [`StreamOutcome::error`] *after* all prior reports were emitted.
-pub fn solve_stream<I, F>(
-    engine: &Engine,
-    requests: I,
-    shard_size: usize,
-    mut emit: F,
-) -> io::Result<StreamOutcome>
-where
-    I: IntoIterator<Item = Result<SolveRequest, CorpusError>>,
-    F: FnMut(&SolveReport) -> io::Result<()>,
-{
-    let shard_size = shard_size.max(1);
-    let started = Instant::now();
-    let mut stats = StreamStats {
-        shard_size,
-        ..StreamStats::default()
-    };
-    let mut phases = Phases::default();
-    let mut error = None;
-    let mut shard: Vec<SolveRequest> = Vec::with_capacity(shard_size.min(1024));
-    let mut iter = requests.into_iter();
-    loop {
-        let t0 = Instant::now();
-        let item = iter.next();
-        phases.parse += t0.elapsed();
-        match item {
-            None => break,
-            Some(Ok(req)) => {
-                shard.push(req);
-                if shard.len() >= shard_size {
-                    solve_shard(engine, &mut shard, &mut stats, &mut phases, &mut emit)?;
-                }
-            }
-            Some(Err(e)) => {
-                error = Some(e);
-                break;
-            }
-        }
-    }
-    // Flush the partial final shard — on the error path too, so every line
-    // parsed before a malformed one still yields its report.
-    if !shard.is_empty() {
-        solve_shard(engine, &mut shard, &mut stats, &mut phases, &mut emit)?;
-    }
-    phases.write_into(&mut stats);
-    stats.wall_micros = started.elapsed().as_micros() as u64;
-    Ok(StreamOutcome { stats, error })
-}
-
-fn solve_shard<F>(
-    engine: &Engine,
-    shard: &mut Vec<SolveRequest>,
-    stats: &mut StreamStats,
-    phases: &mut Phases,
-    emit: &mut F,
-) -> io::Result<()>
-where
-    F: FnMut(&SolveReport) -> io::Result<()>,
-{
-    let reqs = std::mem::take(shard);
-    stats.max_resident = stats.max_resident.max(reqs.len());
-    let t0 = Instant::now();
-    let reports = engine.solve_batch_vec(reqs);
-    phases.solve += t0.elapsed();
-    stats.shards += 1;
-    for report in &reports {
-        stats.record_report(report);
-        let t1 = Instant::now();
-        emit(report)?;
-        phases.serialize += t1.elapsed();
-    }
-    Ok(())
-}
-
 /// One line of an in-flight serve shard: either a cache hit (the shared
 /// canonical report, the id span in the core's id arena, and the probe
 /// instant for the serving-time stamp) or an index into the materialized
@@ -333,8 +186,9 @@ enum Slot {
         report: Arc<SolveReport>,
         id: Option<(usize, usize)>,
         /// Serving time (decode + fingerprint + probe), stamped at decode —
-        /// the byte-path analogue of the typed path's hit `wall_micros`
-        /// (which covers probe + fan-out, never the rest of the batch).
+        /// the byte-path analogue of a cache hit's `wall_micros` in
+        /// [`Engine::solve_batch`] (probe + fan-out, never the rest of the
+        /// batch).
         serve_micros: u64,
     },
     /// An in-shard duplicate of miss `first` (same canonical fingerprint):
@@ -428,7 +282,7 @@ impl ServiceCore {
     /// decode-stage span and a hit's `wall_micros` serving-time stamp.
     ///
     /// With an inactive serve cache (disabled, or a configured deadline)
-    /// every line is materialized, exactly as the typed pipeline behaves.
+    /// every line is materialized and solved in the shard's batch.
     /// On a decode error the pending shard is untouched and the core
     /// remains usable — batch transports treat the error as fatal
     /// (prefix-faithful), session transports report it and continue.
@@ -990,53 +844,29 @@ mod tests {
     use std::io::Cursor;
 
     #[test]
-    fn reader_skips_blanks_and_comments_with_physical_line_numbers() {
-        let text = "# header\n\n{\"machines\":2,\"classes\":[[3]]}\n\n# mid\n{\"machines\":1,\"classes\":[[1,2]]}\n";
-        let mut reader = JsonlReader::new(Cursor::new(text));
-        let first = reader.next().unwrap().unwrap();
-        assert_eq!(first.instance.machines(), 2);
-        assert_eq!(reader.line_no(), 3);
-        let second = reader.next().unwrap().unwrap();
-        assert_eq!(second.instance.num_jobs(), 2);
-        assert_eq!(reader.line_no(), 6);
-        assert!(reader.next().is_none());
-    }
-
-    #[test]
-    fn reader_reports_the_failing_physical_line() {
-        let text = "{\"machines\":2,\"classes\":[[3]]}\n\nnot json\n";
-        let mut reader = JsonlReader::new(Cursor::new(text));
-        assert!(reader.next().unwrap().is_ok());
-        match reader.next().unwrap() {
-            Err(CorpusError::Json { line, .. }) => assert_eq!(line, 3),
-            other => panic!("expected Json error, got {other:?}"),
+    fn serve_counts_shards_and_bounds_residency() {
+        let mut corpus = String::new();
+        for seed in 0..10 {
+            let inst = msrs_gen::uniform(seed, 2, 8, 3, 1, 9);
+            corpus.push_str(&crate::jsonl::write_instance_line(
+                Some(&format!("u-{seed}")),
+                &inst,
+            ));
+            corpus.push('\n');
         }
-    }
-
-    #[test]
-    fn stream_counts_shards_and_bounds_residency() {
-        let reqs: Vec<Result<SolveRequest, CorpusError>> = (0..10)
-            .map(|seed| {
-                Ok(SolveRequest::with_id(
-                    format!("u-{seed}"),
-                    msrs_gen::uniform(seed, 2, 8, 3, 1, 9),
-                ))
-            })
-            .collect();
+        // Cache off: every line is materialized, so residency is the shard.
         let engine = Engine::new(EngineConfig::default());
-        let mut emitted = Vec::new();
-        let outcome = solve_stream(&engine, reqs, 4, |r| {
-            emitted.push(r.id.clone());
-            Ok(())
-        })
-        .unwrap();
+        let mut out = Vec::new();
+        let outcome = serve_jsonl(&engine, Cursor::new(corpus), &mut out, 4).unwrap();
         assert!(outcome.error.is_none());
         assert_eq!(outcome.stats.instances, 10);
         assert_eq!(outcome.stats.shards, 3, "10 instances in shards of 4");
         assert_eq!(outcome.stats.max_resident, 4);
-        assert_eq!(emitted.len(), 10);
-        assert_eq!(emitted[0].as_deref(), Some("u-0"));
-        assert_eq!(emitted[9].as_deref(), Some("u-9"));
+        let emitted = String::from_utf8(out).unwrap();
+        let ids: Vec<&str> = emitted.lines().collect();
+        assert_eq!(ids.len(), 10);
+        assert!(ids[0].contains("\"id\":\"u-0\""));
+        assert!(ids[9].contains("\"id\":\"u-9\""));
         assert!(outcome.stats.ratio_worst >= 1.0);
         assert!(outcome.stats.ratio_mean() >= 1.0);
         // The data-plane split is populated and bounded by the total wall.
@@ -1191,9 +1021,10 @@ mod tests {
 
     #[test]
     fn zero_shard_size_is_clamped_to_one() {
-        let reqs = vec![Ok(SolveRequest::new(msrs_gen::uniform(1, 2, 6, 2, 1, 9)))];
+        let line = crate::jsonl::write_instance_line(None, &msrs_gen::uniform(1, 2, 6, 2, 1, 9));
         let engine = Engine::new(EngineConfig::default());
-        let outcome = solve_stream(&engine, reqs, 0, |_| Ok(())).unwrap();
+        let mut out = Vec::new();
+        let outcome = serve_jsonl(&engine, Cursor::new(format!("{line}\n")), &mut out, 0).unwrap();
         assert_eq!(outcome.stats.instances, 1);
         assert_eq!(outcome.stats.shard_size, 1);
     }

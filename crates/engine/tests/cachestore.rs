@@ -1,4 +1,5 @@
-//! Robustness proofs for the durable result-cache store:
+//! Robustness proofs for the two journals, the durable result-cache store
+//! and the dispatch checkpoint. For the store:
 //!
 //! * **truncation sweep** — a pristine two-segment store cut at *every*
 //!   byte offset loads without a panic or an error, yields exactly the
@@ -13,18 +14,29 @@
 //!   attached store is dropped (joining the background flusher), a fresh
 //!   engine warm-loads the store, and a second pass over the same corpus
 //!   is served entirely from cache, bit-identical modulo `wall_micros`
-//!   and `cache_hit`.
+//!   and `cache_hit`;
+//! * **pinned bytes** — a fixed sequence of opens, appends and syncs
+//!   writes exactly the bytes earlier builds wrote.
+//!
+//! For the checkpoint, the same two sweeps: a cut at every byte offset
+//! loads exactly the records whose lines survived, and a single-bit flip
+//! anywhere in a record line either fails the open with `InvalidData` or
+//! loads a prefix of the written records — never the flipped one.
 
 use std::collections::HashMap;
 use std::fs;
 use std::path::PathBuf;
 
 use msrs_core::{Assignment, Schedule};
+use msrs_engine::fnv::{fnv1a_64, FNV1A_64_BASIS};
 use msrs_engine::json::Json;
 use msrs_engine::portfolio::SolverKind;
 use msrs_engine::report::{RunStatus, SolverRun};
 use msrs_engine::stream::JsonlServer;
-use msrs_engine::{cachestore, jsonl, CacheStore, Engine, EngineConfig, SolveReport};
+use msrs_engine::{
+    cachestore, jsonl, CacheStore, CheckpointHeader, CheckpointLog, Engine, EngineConfig,
+    ShardRecord, ShardStats, SolveReport,
+};
 
 /// A scratch path unique to this process and test.
 fn tmp(name: &str) -> PathBuf {
@@ -98,10 +110,16 @@ fn pristine_store(
 
 /// Byte spans (start, end-exclusive of the newline) of every record line.
 fn record_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
+    line_spans(bytes, b"{\"fp\":")
+}
+
+/// Byte spans (start, end-exclusive of the newline) of every line that
+/// starts with `prefix`.
+fn line_spans(bytes: &[u8], prefix: &[u8]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut start = 0usize;
     for line in bytes.split(|&b| b == b'\n') {
-        if line.starts_with(b"{\"fp\":") {
+        if line.starts_with(prefix) {
             spans.push((start, start + line.len()));
         }
         start += line.len() + 1;
@@ -232,6 +250,134 @@ fn record_line_round_trips_through_a_pristine_load() {
         );
     }
     fs::remove_file(&path).ok();
+}
+
+/// The on-disk bytes of a store are a compatibility contract: stores
+/// written by earlier builds must keep loading. A fixed sequence of opens,
+/// appends and syncs — crossing a segment boundary, reopening, and
+/// reopening over a torn tail — must produce exactly the pinned bytes.
+#[test]
+fn store_bytes_match_the_pinned_digest() {
+    let path = tmp("pinned-bytes.mcache");
+    let _ = fs::remove_file(&path);
+    let mut next = 0u64;
+    for batch in [70u64, 3, 1] {
+        if next > 0 {
+            // A crash mid-append leaves a torn line for this open to cut.
+            let mut torn = fs::read(&path).expect("store readable");
+            torn.extend_from_slice(b"{\"fp\":\"0123");
+            fs::write(&path, torn).expect("store writable");
+        }
+        let (mut store, entries, _) = CacheStore::open(&path, CONFIG_FP).expect("store opens");
+        assert_eq!(entries.len() as u64, next, "every earlier record reloads");
+        for i in next..next + batch {
+            let payload = report(i).to_store_json().to_string();
+            store
+                .append(i as u128 * 0x9e37_79b9_7f4a_7c15 + 1, CONFIG_FP, &payload)
+                .expect("append");
+        }
+        store.sync().expect("sync");
+        next += batch;
+    }
+    let bytes = fs::read(&path).expect("store readable");
+    let digest = fnv1a_64(FNV1A_64_BASIS, &bytes);
+    assert_eq!(
+        (bytes.len(), digest),
+        (31534, 0x0c90_2a3b_439f_fb20),
+        "cache-store bytes changed"
+    );
+    fs::remove_file(&path).ok();
+}
+
+/// A dispatch checkpoint record; shard 1's `out_bytes` is 200, so a
+/// one-bit flip of its first digit would claim 300.
+fn shard_record(shard: usize) -> ShardRecord {
+    ShardRecord {
+        shard,
+        lines: 8,
+        shard_fp: 0x1234_5678 + shard as u64,
+        out_bytes: 100 * (shard as u64 + 1),
+        attempts: 1,
+        quarantined: shard == 2,
+        stats: ShardStats {
+            instances: 8,
+            ratio_sum_bits: 8.25f64.to_bits(),
+            ratio_worst_bits: 1.5f64.to_bits(),
+            ..ShardStats::default()
+        },
+    }
+}
+
+const CKPT_HEADER: CheckpointHeader = CheckpointHeader {
+    config_fp: CONFIG_FP,
+    shard_size: 8,
+};
+
+/// Builds a three-record checkpoint and returns its bytes, the records,
+/// and the byte spans of the record lines.
+fn pristine_checkpoint(path: &std::path::Path) -> (Vec<u8>, Vec<ShardRecord>, Vec<(usize, usize)>) {
+    let _ = fs::remove_file(path);
+    let records: Vec<ShardRecord> = (0..3).map(shard_record).collect();
+    let (mut log, loaded) = CheckpointLog::open(path, CKPT_HEADER).expect("checkpoint opens");
+    assert!(loaded.is_empty());
+    for rec in &records {
+        log.append(rec).expect("append");
+    }
+    let bytes = fs::read(path).expect("checkpoint readable");
+    let spans = line_spans(&bytes, b"{\"shard\":");
+    assert_eq!(spans.len(), records.len());
+    (bytes, records, spans)
+}
+
+#[test]
+fn checkpoint_survives_truncation_at_every_byte_offset() {
+    let build = tmp("trunc-build.ckpt");
+    let (bytes, records, spans) = pristine_checkpoint(&build);
+    let scratch = tmp("trunc-scratch.ckpt");
+    for cut in 0..=bytes.len() {
+        fs::write(&scratch, &bytes[..cut]).expect("scratch writable");
+        let (_log, loaded) = CheckpointLog::open(&scratch, CKPT_HEADER)
+            .unwrap_or_else(|e| panic!("truncation at byte {cut} must load, not error: {e}"));
+        // A record survives iff its full line (newline included) fits.
+        let survivors = spans.iter().filter(|(_, end)| *end < cut).count();
+        assert_eq!(loaded, records[..survivors], "truncation at byte {cut}");
+    }
+    fs::remove_file(&build).ok();
+    fs::remove_file(&scratch).ok();
+}
+
+#[test]
+fn checkpoint_bit_flips_never_yield_a_record_that_was_not_written() {
+    let build = tmp("flip-build.ckpt");
+    let (bytes, records, spans) = pristine_checkpoint(&build);
+    let scratch = tmp("flip-scratch.ckpt");
+    for (record, (start, end)) in spans.iter().enumerate() {
+        for pos in *start..*end {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[pos] ^= 1 << bit;
+                fs::write(&scratch, &flipped).expect("scratch writable");
+                match CheckpointLog::open(&scratch, CKPT_HEADER) {
+                    // The flipped record itself never loads; what does load
+                    // is exactly what was written.
+                    Ok((_log, loaded)) => {
+                        assert!(
+                            loaded.len() <= record,
+                            "flip of bit {bit} at byte {pos} (record {record}) went undetected"
+                        );
+                        assert_eq!(loaded, records[..loaded.len()], "flip at byte {pos}");
+                    }
+                    Err(e) => assert_eq!(
+                        e.kind(),
+                        std::io::ErrorKind::InvalidData,
+                        "flip at byte {pos}: {e}"
+                    ),
+                }
+            }
+        }
+    }
+    fs::remove_file(&build).ok();
+    fs::remove_file(&scratch).ok();
 }
 
 /// Zeroes `wall_micros` and normalizes `cache_hit` — the two fields the

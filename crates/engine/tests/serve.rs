@@ -1,15 +1,17 @@
-//! The byte-level serving data plane (`serve_jsonl`) against the typed
-//! streaming pipeline (`solve_stream`): for any corpus, the emitted report
-//! lines must be bit-identical — modulo the `wall_micros` timings and the
-//! `cache_hit` provenance flags — across thread counts 1/2/8, cache on/off,
-//! and shard sizes, including corpora with relabelled duplicates and
-//! escaped ids. Also covers the prefix-faithful error semantics and the
-//! fast-path accounting of the serve loop.
+//! The byte-level serving data plane (`serve_jsonl`) against the engine's
+//! batch solver (`Engine::solve_batch` over the decoded corpus): for any
+//! corpus, the emitted report lines must be bit-identical — modulo the
+//! `wall_micros` timings and the `cache_hit` provenance flags — across
+//! thread counts 1/2/8, cache on/off, and shard sizes, including corpora
+//! with relabelled duplicates and escaped ids. Also covers the
+//! prefix-faithful error semantics with physical line numbers, shard and
+//! residency accounting, output-error propagation, and the fast-path
+//! accounting of the serve loop.
 
 use msrs_core::canonical::relabel;
 use msrs_core::{ClassId, Instance, JobId};
 use msrs_engine::json::Json;
-use msrs_engine::stream::{serve_jsonl, solve_stream, JsonlReader};
+use msrs_engine::stream::serve_jsonl;
 use msrs_engine::{jsonl, Engine, EngineConfig, SolveRequest};
 use proptest::prelude::*;
 
@@ -47,31 +49,30 @@ fn redacted_line(line: &str) -> String {
 }
 
 /// Serves `corpus_text` through the byte path and returns the redacted
-/// report lines.
+/// report lines, checking the shard and residency accounting on the way.
 fn serve_lines(engine: &Engine, corpus_text: &str, shard: usize) -> Vec<String> {
     let mut out = Vec::new();
     let outcome = serve_jsonl(engine, corpus_text.as_bytes(), &mut out, shard).expect("serve");
     assert!(outcome.error.is_none(), "{:?}", outcome.error);
+    assert_eq!(
+        outcome.stats.shards,
+        outcome.stats.instances.div_ceil(shard),
+        "shard {shard}"
+    );
+    assert!(outcome.stats.max_resident <= shard);
     let text = String::from_utf8(out).expect("UTF-8 report lines");
     text.lines().map(redacted_line).collect()
 }
 
-/// Streams `corpus_text` through the typed path and returns the redacted
-/// JSON serialization of every report.
-fn stream_lines(engine: &Engine, corpus_text: &str, shard: usize) -> Vec<String> {
-    let mut lines = Vec::new();
-    let outcome = solve_stream(
-        engine,
-        JsonlReader::new(corpus_text.as_bytes()),
-        shard,
-        |report| {
-            lines.push(redacted_line(&report.to_json().to_string()));
-            Ok(())
-        },
-    )
-    .expect("stream");
-    assert!(outcome.error.is_none(), "{:?}", outcome.error);
-    lines
+/// The oracle: one unsharded `solve_batch` over the decoded corpus, as
+/// redacted JSON lines.
+fn batch_lines(engine: &Engine, corpus_text: &str) -> Vec<String> {
+    let reqs = jsonl::read_corpus(corpus_text).expect("valid corpus");
+    engine
+        .solve_batch(&reqs)
+        .iter()
+        .map(|report| redacted_line(&report.to_json().to_string()))
+        .collect()
 }
 
 /// Random corpora with planted relabelled duplicates and mixed ids
@@ -110,21 +111,21 @@ fn arb_corpus_text() -> impl Strategy<Value = String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Serve-vs-stream bit-identity (modulo timings and `cache_hit`) at
+    /// Serve-vs-batch bit-identity (modulo timings and `cache_hit`) at
     /// threads 1/2/8, cache on and off, across shard sizes — on *fresh*
     /// engines, so both paths see identical cold caches.
     #[test]
-    fn serve_matches_stream_bit_identically(
+    fn serve_matches_solve_batch_bit_identically(
         corpus in arb_corpus_text(),
         shard in prop::sample::select(vec![1usize, 3, 64]),
     ) {
         for threads in [1usize, 2, 8] {
             for cache in [0usize, 1024] {
                 let served = serve_lines(&engine(threads, cache), &corpus, shard);
-                let streamed = stream_lines(&engine(threads, cache), &corpus, shard);
+                let batched = batch_lines(&engine(threads, cache), &corpus);
                 prop_assert_eq!(
                     &served,
-                    &streamed,
+                    &batched,
                     "threads {} cache {} shard {}",
                     threads,
                     cache,
@@ -162,22 +163,78 @@ proptest! {
 
 #[test]
 fn serve_is_prefix_faithful_on_a_malformed_line() {
-    let good = jsonl::write_instance_line(Some("ok-1"), &msrs_gen::uniform(1, 2, 6, 2, 1, 9));
-    let good2 = jsonl::write_instance_line(Some("ok-2"), &msrs_gen::uniform(2, 2, 6, 2, 1, 9));
-    let text = format!("{good}\n{good2}\nnot json\n{good}\n");
-    let engine = engine(2, 1024);
-    let mut out = Vec::new();
-    let outcome = serve_jsonl(&engine, text.as_bytes(), &mut out, 64).expect("serve");
-    // Both reports before the malformed line were emitted…
-    let emitted = String::from_utf8(out).unwrap();
-    assert_eq!(emitted.lines().count(), 2);
-    assert!(emitted.lines().next().unwrap().contains("\"id\":\"ok-1\""));
-    assert_eq!(outcome.stats.instances, 2);
-    // …and the error carries the physical line number.
-    match outcome.error {
-        Some(msrs_engine::jsonl::CorpusError::Json { line, .. }) => assert_eq!(line, 3),
-        other => panic!("expected Json error on line 3, got {other:?}"),
+    let good = |i: u64| {
+        jsonl::write_instance_line(
+            Some(&format!("ok-{i}")),
+            &msrs_gen::uniform(i, 2, 6, 2, 1, 9),
+        )
+    };
+    // Physical lines: 1 comment + 1 blank + 3 instances, then the bad one.
+    let text = format!(
+        "# corpus header\n\n{}\n{}\n{}\n{{\"machines\":oops}}\n{}\n",
+        good(1),
+        good(2),
+        good(3),
+        good(4)
+    );
+    for cache in [0usize, 1024] {
+        let mut out = Vec::new();
+        // Shard size 2: one full shard plus the partial one flushed at the
+        // error.
+        let outcome = serve_jsonl(&engine(2, cache), text.as_bytes(), &mut out, 2).expect("serve");
+        // Every report before the malformed line was emitted, in order…
+        let emitted = String::from_utf8(out).unwrap();
+        let ids: Vec<String> = emitted
+            .lines()
+            .map(|line| Json::parse(line).unwrap().get("id").unwrap().to_string())
+            .collect();
+        assert_eq!(ids, ["\"ok-1\"", "\"ok-2\"", "\"ok-3\""], "cache {cache}");
+        assert_eq!(outcome.stats.instances, 3);
+        assert_eq!(outcome.stats.shards, 2);
+        // …and the error carries the 1-based physical line number.
+        match outcome.error {
+            Some(msrs_engine::jsonl::CorpusError::Json { line, .. }) => assert_eq!(line, 6),
+            other => panic!("expected Json error on line 6, got {other:?}"),
+        }
     }
+}
+
+#[test]
+fn serve_residency_stays_bounded_by_the_shard() {
+    // Not a real memory meter (no allocator hooks here) — asserts the
+    // pipeline's own residency accounting: with the cache off every line
+    // is materialized, and at most one shard of them at once even for a
+    // much longer corpus.
+    let reqs: Vec<SolveRequest> = (0..500u64)
+        .map(|seed| SolveRequest::with_id(format!("t-{seed}"), msrs_gen::traffic(seed, 3, 10)))
+        .collect();
+    let text = jsonl::write_corpus(&reqs);
+    let mut out = Vec::new();
+    let outcome = serve_jsonl(&engine(2, 0), text.as_bytes(), &mut out, 32).expect("serve");
+    assert!(outcome.error.is_none());
+    assert_eq!(outcome.stats.instances, 500);
+    assert_eq!(String::from_utf8(out).unwrap().lines().count(), 500);
+    assert_eq!(outcome.stats.max_resident, 32);
+    assert_eq!(outcome.stats.shards, 500usize.div_ceil(32));
+}
+
+#[test]
+fn output_errors_abort_the_serve() {
+    struct Full;
+    impl std::io::Write for Full {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("sink full"))
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let reqs: Vec<SolveRequest> = (0..10u64)
+        .map(|seed| SolveRequest::new(msrs_gen::uniform(seed, 2, 6, 2, 1, 9)))
+        .collect();
+    let text = jsonl::write_corpus(&reqs);
+    let result = serve_jsonl(&engine(1, 0), text.as_bytes(), &mut Full, 4);
+    assert!(result.is_err(), "downstream I/O errors propagate");
 }
 
 #[test]
