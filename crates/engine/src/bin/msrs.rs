@@ -58,8 +58,8 @@ SUBCOMMANDS:
     help    Show this help
 
 COMMON ENGINE FLAGS (solve, batch, serve, dispatch, worker, bench):
-    --threads <N>        Worker threads for the parallel backend (batches,
-                         portfolio members; 0 = MSRS_THREADS or all cores)
+    --threads <N>        Worker threads for the parallel backend (instances of
+                         a batch; 0 = MSRS_THREADS or all cores)
                                                                  [default: 0]
     --no-baselines       Skip the prior-work baseline solvers
     --deadline-ms <D>    Per-instance wall-clock deadline (opt-in nondeterminism;

@@ -1,10 +1,12 @@
-//! The engine: parallel portfolio/batch execution with certified selection.
+//! The engine: one solve pipeline with certified selection.
 //!
-//! All parallelism runs on the workspace's `rayon` backend (the chunked
-//! shared-queue scheduler in `vendor/rayon`): batches fan instances out
-//! across pool workers, and a single solve optionally fans its portfolio
-//! members out the same way. Deadlines are enforced *cooperatively*: a
-//! [`CancelToken`] derived from
+//! Every request, single or batched, takes the same path: canonicalize →
+//! (cache probe and in-batch dedup, when the cache is active) → the
+//! planned portfolio's members, one after another → finalize. Batches
+//! fan instances out across the workspace's `rayon` pool (the chunked
+//! shared-queue scheduler in `vendor/rayon`); each instance's members run
+//! sequentially on the worker that picked it up. Deadlines are enforced
+//! *cooperatively*: a [`CancelToken`] derived from
 //! [`EngineConfig::deadline`] is threaded into every member, and the
 //! unbounded solvers (exact branch-and-bound, EPTAS) poll it inside their
 //! search loops — so the deadline bounds each member's runtime, not merely
@@ -26,7 +28,7 @@ use msrs_telemetry::{registry, OutcomeStatus, Stage};
 
 use crate::cache::{CacheKey, ReportCache};
 use crate::fnv::{fnv1a_64, FNV1A_64_BASIS};
-use crate::portfolio::{plan, Portfolio, SolverKind};
+use crate::portfolio::{plan, SolverKind};
 use crate::profile::{classify, InstanceProfile, SizeTier};
 use crate::report::{RunStatus, SolveReport, SolveRequest, SolverRun};
 
@@ -99,14 +101,10 @@ impl Default for EptasPolicy {
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads for the engine's pool (batch solving and parallel
-    /// portfolios); `0` = the backend default (`MSRS_THREADS` or available
-    /// parallelism).
+    /// Worker threads for the engine's pool, which solves a batch's
+    /// instances in parallel; `0` = the backend default (`MSRS_THREADS` or
+    /// available parallelism).
     pub threads: usize,
-    /// Run portfolio members of a *single* [`Engine::solve`] on pool
-    /// workers (batches always parallelize across instances instead, so
-    /// workers are never oversubscribed).
-    pub parallel_portfolio: bool,
     /// Optional wall-clock deadline per instance, enforced *inside* the
     /// unbounded members: the exact branch-and-bound and the EPTAS poll a
     /// shared [`CancelToken`] and unwind cooperatively, reporting
@@ -153,7 +151,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             threads: 0,
-            parallel_portfolio: true,
             deadline: None,
             run_baselines: true,
             cache_capacity: cache_capacity_from_env(),
@@ -183,11 +180,12 @@ impl EngineConfig {
     }
 
     /// A stable fingerprint over every configuration field that can change
-    /// *report content* (as opposed to timings): the solver policies,
-    /// baseline participation, and the portfolio execution shape. Thread
-    /// count and cache capacity are deliberately excluded — reports are
-    /// bit-identical across both — so cache entries stay valid across
-    /// those knobs. Part of the [`CacheKey`].
+    /// *report content* (as opposed to timings): the solver policies and
+    /// baseline participation. Thread count, cache capacity and the
+    /// deadline are deliberately excluded — reports are bit-identical
+    /// across the first two, and deadline results are never cached — so
+    /// cache entries stay valid across those knobs. Part of the
+    /// [`CacheKey`].
     pub fn content_fingerprint(&self) -> u64 {
         // FNV-1a over the content-relevant fields, each as 8 LE bytes.
         let mut h = FNV1A_64_BASIS;
@@ -224,24 +222,17 @@ impl Default for Engine {
     }
 }
 
-/// Per-thread reusable solve scratch: the canonicalization buffers every
-/// request needs, hit or miss. The worker pool's threads are persistent, so
-/// one scratch per worker lives for the process — shard loops in
-/// [`Engine::solve_batch_vec`] and the streaming pipeline recycle it across
-/// shards instead of re-allocating per instance.
-#[derive(Default)]
-pub(crate) struct SolveScratch {
-    pub(crate) canonical: CanonicalScratch,
-}
-
 thread_local! {
-    static SOLVE_SCRATCH: RefCell<SolveScratch> = RefCell::new(SolveScratch::default());
+    /// The canonicalization buffers every request needs, hit or miss. Pool
+    /// threads are persistent, so each worker keeps one scratch for the
+    /// life of the process instead of re-allocating per instance.
+    static CANONICAL_SCRATCH: RefCell<CanonicalScratch> = RefCell::default();
 }
 
 /// Canonicalizes `inst` through the calling thread's persistent scratch.
 fn canonical_form_pooled(inst: &Instance) -> CanonicalForm {
     let _span = Stage::Canonicalize.span();
-    SOLVE_SCRATCH.with(|s| CanonicalForm::of_with(inst, &mut s.borrow_mut().canonical))
+    CANONICAL_SCRATCH.with(|s| CanonicalForm::of_with(inst, &mut s.borrow_mut()))
 }
 
 /// Everything a finished member hands back.
@@ -255,14 +246,15 @@ struct MemberOutcome {
 }
 
 impl MemberOutcome {
-    /// A member the deadline preempted before it even started.
-    fn timed_out_unstarted() -> Self {
+    /// A member that produced no schedule: preempted by the deadline,
+    /// out of budget, panicked, or caught emitting an invalid schedule.
+    fn failed(status: RunStatus, nodes: Option<u64>) -> Self {
         MemberOutcome {
-            status: RunStatus::TimedOut,
+            status,
             schedule: None,
             makespan: None,
             certified_horizon: None,
-            nodes: None,
+            nodes,
             wall_micros: 0,
         }
     }
@@ -302,10 +294,10 @@ impl Engine {
         }
     }
 
-    /// Whether the byte-level serve path ([`crate::stream::JsonlServer`])
+    /// Whether the byte-level serve path ([`crate::stream::ServiceCore`])
     /// may serve lines by canonical fingerprint (cache has capacity, no
-    /// deadline configured). When false, serving degenerates to the typed
-    /// pipeline: every line is materialized and batch-solved.
+    /// deadline configured). When false, every line is materialized and
+    /// solved fresh in its shard's batch.
     pub(crate) fn serve_cache_active(&self) -> bool {
         self.cache_active()
     }
@@ -380,8 +372,9 @@ impl Engine {
         Ok(stats)
     }
 
-    /// Solves one request with the planned portfolio (parallel across
-    /// members when [`EngineConfig::parallel_portfolio`] is set).
+    /// Solves one request with the planned portfolio: a one-request
+    /// [`solve_batch`](Self::solve_batch), so a single solve and a batch
+    /// share every step, cache accounting included.
     ///
     /// Every solve runs on the *canonical form* of the instance (sorted
     /// class multisets — order- and ID-insensitive) and the schedule is
@@ -389,19 +382,9 @@ impl Engine {
     /// receive identical reports and result caching is sound by
     /// construction.
     pub fn solve(&self, req: &SolveRequest) -> SolveReport {
-        let started = Instant::now();
-        let form = canonical_form_pooled(&req.instance);
-        if self.cache_active() {
-            let key = self.cache_key(&form);
-            if let Some(canonical) = self.cache.get(&key) {
-                return finalize((*canonical).clone(), &form, req, true, started);
-            }
-            let canonical = Arc::new(self.solve_canonical(form.instance(), false));
-            self.cache.insert(key, Arc::clone(&canonical));
-            return finalize((*canonical).clone(), &form, req, false, started);
-        }
-        let canonical = self.solve_canonical(form.instance(), false);
-        finalize(canonical, &form, req, false, started)
+        self.solve_batch_vec(vec![req.clone()])
+            .pop()
+            .expect("one report per request")
     }
 
     /// Convenience: solve a bare instance.
@@ -419,53 +402,21 @@ impl Engine {
     /// order-preserving, and cached reports are replays of the same
     /// deterministic canonical solve.
     ///
-    /// With the cache enabled the batch is additionally *deduplicated by
-    /// canonical form*: each distinct form is solved once on the pool (in
-    /// first-occurrence order) and the report fanned out to every duplicate
-    /// request, so a duplicate-heavy corpus collapses to its
-    /// distinct-instance count.
-    ///
-    /// The borrowed slice is copied once up front (pool jobs are `'static`
-    /// and cannot hold the borrow); callers that own their requests — the
-    /// [`ServiceCore`](crate::stream::ServiceCore) does — should use
-    /// [`solve_batch_vec`](Self::solve_batch_vec), which shares them
-    /// zero-copy behind an `Arc`.
+    /// With the cache active the batch is additionally *deduplicated by
+    /// canonical form*: each distinct uncached form is solved once on the
+    /// pool (in first-occurrence order) and the report fanned out to every
+    /// duplicate request, so a duplicate-heavy corpus collapses to its
+    /// distinct-instance count. With the cache off or a deadline set, every
+    /// request is solved fresh.
     pub fn solve_batch(&self, reqs: &[SolveRequest]) -> Vec<SolveReport> {
         self.solve_batch_vec(reqs.to_vec())
     }
 
     /// [`solve_batch`](Self::solve_batch) taking ownership of the requests —
-    /// the zero-copy entry point [`crate::stream::ServiceCore`] solves each
-    /// shard's cache misses through: pool workers share the request vector
-    /// behind an `Arc` instead of cloning it, so a shard costs exactly its
-    /// own allocation.
-    pub fn solve_batch_vec(&self, reqs: Vec<SolveRequest>) -> Vec<SolveReport> {
-        if self.cache_active() {
-            return self.solve_batch_deduped(reqs);
-        }
-        let reqs = Arc::new(reqs);
-        let engine = self.clone();
-        let shared = Arc::clone(&reqs);
-        self.cfg.pool().install(|| {
-            (0..reqs.len())
-                .into_par_iter()
-                .map(move |i| engine.solve_one_worker(&shared[i]))
-                .collect()
-        })
-    }
-
-    /// Batch worker path (cache inactive): canonicalized sequential solve
-    /// through the worker's persistent [`SolveScratch`].
-    fn solve_one_worker(&self, req: &SolveRequest) -> SolveReport {
-        let started = Instant::now();
-        let form = canonical_form_pooled(&req.instance);
-        let canonical = self.solve_canonical(form.instance(), true);
-        finalize(canonical, &form, req, false, started)
-    }
-
-    /// Cache-enabled batch path: canonicalize, dedup, solve each distinct
-    /// uncached form once on the pool, then fan reports out in order.
-    fn solve_batch_deduped(&self, reqs: Vec<SolveRequest>) -> Vec<SolveReport> {
+    /// the entry point [`crate::stream::ServiceCore`] solves each shard's
+    /// cache misses through: pool workers share the request vector behind
+    /// an `Arc` instead of cloning it.
+    pub(crate) fn solve_batch_vec(&self, reqs: Vec<SolveRequest>) -> Vec<SolveReport> {
         let pool = self.cfg.pool();
         let reqs = Arc::new(reqs);
         let forms: Arc<Vec<CanonicalForm>> = {
@@ -477,28 +428,32 @@ impl Engine {
                     .collect()
             }))
         };
-        // Dedup by fingerprint, keeping first-occurrence order; decide
-        // per-request provenance (fresh solve vs cache vs intra-batch
-        // duplicate) sequentially so the hit/miss counters are
-        // deterministic for a fixed engine + corpus.
-        let key_of = |idx: usize| self.cache_key(&forms[idx]);
-        let mut first_of: HashMap<u128, usize> = HashMap::new();
+        // Decide per-request provenance (fresh solve, cache hit, or
+        // in-batch duplicate) sequentially, so the hit/miss counters are
+        // deterministic for a fixed engine + corpus. `answers` holds one
+        // entry per distinct canonical report and `slots[i]` names the one
+        // answering request `i`; uncached entries stay `None` until solved.
+        let cache_active = self.cache_active();
+        let mut slot_of: HashMap<u128, usize> = HashMap::new();
+        let mut slots: Vec<usize> = Vec::with_capacity(reqs.len());
+        let mut answers: Vec<Option<Arc<SolveReport>>> = Vec::new();
         let mut to_solve: Vec<usize> = Vec::new();
-        let mut cached: HashMap<u128, Arc<SolveReport>> = HashMap::new();
-        let mut fresh: Vec<bool> = vec![false; reqs.len()];
-        for idx in 0..reqs.len() {
-            let fp = forms[idx].fingerprint();
-            if first_of.contains_key(&fp) || cached.contains_key(&fp) {
-                self.cache.count_dedup_hit();
-                continue;
+        for (idx, form) in forms.iter().enumerate() {
+            let mut cached = None;
+            if cache_active {
+                if let Some(&slot) = slot_of.get(&form.fingerprint()) {
+                    self.cache.count_dedup_hit();
+                    slots.push(slot);
+                    continue;
+                }
+                slot_of.insert(form.fingerprint(), answers.len());
+                cached = self.cache.get(&self.cache_key(form));
             }
-            if let Some(report) = self.cache.get(&key_of(idx)) {
-                cached.insert(fp, report);
-                continue;
+            if cached.is_none() {
+                to_solve.push(idx);
             }
-            first_of.insert(fp, idx);
-            to_solve.push(idx);
-            fresh[idx] = true;
+            slots.push(answers.len());
+            answers.push(cached);
         }
         let solved: Vec<SolveReport> = {
             let engine = self.clone();
@@ -507,33 +462,45 @@ impl Engine {
             pool.install(|| {
                 indices
                     .into_par_iter()
-                    .map(move |idx| engine.solve_canonical(shared_forms[idx].instance(), true))
+                    .map(move |idx| engine.solve_canonical(shared_forms[idx].instance()))
                     .collect()
             })
         };
+        let mut fresh = vec![false; reqs.len()];
         for (&idx, report) in to_solve.iter().zip(solved) {
-            let fp = forms[idx].fingerprint();
-            let shared = Arc::new(report);
-            self.cache.insert(key_of(idx), Arc::clone(&shared));
-            cached.insert(fp, shared);
+            let report = Arc::new(report);
+            if cache_active {
+                self.cache
+                    .insert(self.cache_key(&forms[idx]), Arc::clone(&report));
+            }
+            answers[slots[idx]] = Some(report);
+            fresh[idx] = true;
         }
         reqs.iter()
             .zip(forms.iter())
-            .zip(&fresh)
-            .map(|((req, form), &is_fresh)| {
+            .zip(slots)
+            .zip(fresh)
+            .map(|(((req, form), slot), is_fresh)| {
                 // Hits report their fan-out (serving) cost, not the batch
                 // duration; fresh reports keep their solve time.
                 let served = Instant::now();
-                let canonical = (*cached[&form.fingerprint()]).clone();
+                // Without the cache every request has a report of its own,
+                // which is moved out instead of cloned.
+                let answer = if cache_active {
+                    answers[slot].clone()
+                } else {
+                    answers[slot].take()
+                };
+                let canonical = Arc::unwrap_or_clone(answer.expect("every slot is answered"));
                 finalize(canonical, form, req, !is_fresh, served)
             })
             .collect()
     }
 
     /// Solves a canonical instance, producing the canonical report (no id,
-    /// canonical job numbering). `on_worker` forces the sequential member
-    /// path (batch workers parallelize across instances instead).
-    fn solve_canonical(&self, inst: &Instance, on_worker: bool) -> SolveReport {
+    /// canonical job numbering): plans the portfolio, then runs its members
+    /// one after another in canonical order.
+    fn solve_canonical(&self, inst: &Instance) -> SolveReport {
         let (profile, portfolio) = {
             let _span = Stage::Plan.span();
             let profile = classify(inst);
@@ -541,25 +508,11 @@ impl Engine {
             (profile, portfolio)
         };
         let _span = Stage::MemberRace.span();
-        if !on_worker && self.cfg.parallel_portfolio && portfolio.members.len() > 1 {
-            self.run_parallel(inst, &profile, &portfolio)
-        } else {
-            self.run_sequential(inst, &profile, &portfolio)
-        }
-    }
-
-    fn run_sequential(
-        &self,
-        inst: &Instance,
-        profile: &InstanceProfile,
-        portfolio: &Portfolio,
-    ) -> SolveReport {
         let started = Instant::now();
         let cancel = self.cfg.cancel_token(started);
-        // Members run with nested parallelism pinned off (exactly as they
-        // do on pool workers in the batch and parallel-portfolio paths), so
-        // a sequential portfolio produces bit-identical reports — including
-        // branch-and-bound node counts — at any ambient thread count.
+        // Members run with nested parallelism pinned off, so reports —
+        // including branch-and-bound node counts — are bit-identical at any
+        // ambient thread count.
         let one = rayon::ThreadPoolBuilder::new()
             .num_threads(1)
             .build()
@@ -571,7 +524,7 @@ impl Engine {
             // additionally poll the token inside their own search loops.
             let timed_out = idx > 0 && cancel.as_ref().is_some_and(CancelToken::is_cancelled);
             if timed_out {
-                outcomes.push((kind, MemberOutcome::timed_out_unstarted()));
+                outcomes.push((kind, MemberOutcome::failed(RunStatus::TimedOut, None)));
                 continue;
             }
             // The exact member is warm-started from the best heuristic
@@ -582,99 +535,29 @@ impl Engine {
             } else {
                 None
             };
-            outcomes.push((
-                kind,
-                one.install(|| run_solver(kind, inst, &self.cfg, cancel.as_ref(), warm.as_ref())),
-            ));
-        }
-        assemble(profile, outcomes, started)
-    }
-
-    fn run_parallel(
-        &self,
-        inst: &Instance,
-        profile: &InstanceProfile,
-        portfolio: &Portfolio,
-    ) -> SolveReport {
-        let started = Instant::now();
-        let cancel = self.cfg.cancel_token(started);
-        // Two waves: every member except the exact solver races first, then
-        // the exact solver runs warm-started from the best heuristic
-        // schedule — the same incumbent the sequential path hands it, so
-        // both paths produce bit-identical report content. Every member
-        // joins: the unbounded ones poll the shared token and unwind
-        // cooperatively at the deadline, so joining cannot stall past
-        // deadline + slack. Panics inside a member are caught and surfaced
-        // as `Invalid` outcomes so a bug in one solver is reported instead
-        // of masquerading as a timeout.
-        let wave1: Vec<SolverKind> = portfolio
-            .members
-            .iter()
-            .copied()
-            .filter(|&k| k != SolverKind::Exact)
-            .collect();
-        // Members fan out as 'static pool jobs: they share an `Arc` of the
-        // canonical instance plus owned config/token clones (the instance
-        // clone is one allocation against a whole portfolio solve).
-        let shared_inst = Arc::new(inst.clone());
-        let shared_cfg = self.cfg.clone();
-        let shared_cancel = cancel.clone();
-        let wave_outcomes: Vec<(SolverKind, MemberOutcome)> = self.cfg.pool().install(|| {
-            wave1
-                .into_par_iter()
-                .map(move |kind| {
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_solver(
-                            kind,
-                            &shared_inst,
-                            &shared_cfg,
-                            shared_cancel.as_ref(),
-                            None,
-                        )
-                    }))
-                    .unwrap_or_else(|payload| {
-                        let reason = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "solver panicked".into());
-                        MemberOutcome {
-                            status: RunStatus::Invalid(format!("panic: {reason}")),
-                            schedule: None,
-                            makespan: None,
-                            certified_horizon: None,
-                            nodes: None,
-                            wall_micros: 0,
-                        }
-                    });
-                    (kind, outcome)
+            let outcome = one.install(|| {
+                catch_member_panic(|| {
+                    run_solver(kind, inst, &self.cfg, cancel.as_ref(), warm.as_ref())
                 })
-                .collect()
-        });
-        // Reassemble in canonical member order, running the exact member
-        // (warm) in its slot. The warm incumbent considers only members
-        // *before* Exact in canonical order, mirroring run_sequential.
-        let mut outcomes: Vec<(SolverKind, MemberOutcome)> = Vec::new();
-        let mut wave_iter = wave_outcomes.into_iter();
-        for &kind in &portfolio.members {
-            if kind == SolverKind::Exact {
-                let warm = best_completed_schedule(&outcomes);
-                let one = rayon::ThreadPoolBuilder::new()
-                    .num_threads(1)
-                    .build()
-                    .expect("pool handles are always constructible");
-                outcomes.push((
-                    kind,
-                    one.install(|| {
-                        run_solver(kind, inst, &self.cfg, cancel.as_ref(), warm.as_ref())
-                    }),
-                ));
-            } else {
-                outcomes.push(wave_iter.next().expect("wave covers non-exact members"));
-            }
+            });
+            outcomes.push((kind, outcome));
         }
-        assemble(profile, outcomes, started)
+        assemble(&profile, outcomes, started)
     }
+}
+
+/// Runs one member, turning a panic into a [`RunStatus::Invalid`] outcome
+/// so a bug in one solver is reported instead of taking the whole request
+/// (or the pool worker serving it) down.
+fn catch_member_panic(run: impl FnOnce() -> MemberOutcome) -> MemberOutcome {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        let reason = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "solver panicked".into());
+        MemberOutcome::failed(RunStatus::Invalid(format!("panic: {reason}")), None)
+    })
 }
 
 /// The best (least-makespan) schedule among completed members so far — the
@@ -795,34 +678,17 @@ fn run_solver(
         }
     };
     let outcome = match result {
-        Err(status) => MemberOutcome {
-            status,
-            schedule: None,
-            makespan: None,
-            certified_horizon: None,
-            nodes,
-            wall_micros: 0,
-        },
+        Err(status) => MemberOutcome::failed(status, nodes),
         Ok((schedule, certified_horizon)) => match validate(inst, &schedule) {
-            Ok(()) => {
-                let makespan = schedule.makespan(inst);
-                MemberOutcome {
-                    status: RunStatus::Completed,
-                    schedule: Some(schedule),
-                    makespan: Some(makespan),
-                    certified_horizon,
-                    nodes,
-                    wall_micros: 0,
-                }
-            }
-            Err(e) => MemberOutcome {
-                status: RunStatus::Invalid(e.to_string()),
-                schedule: None,
-                makespan: None,
-                certified_horizon: None,
+            Ok(()) => MemberOutcome {
+                status: RunStatus::Completed,
+                makespan: Some(schedule.makespan(inst)),
+                schedule: Some(schedule),
+                certified_horizon,
                 nodes,
                 wall_micros: 0,
             },
+            Err(e) => MemberOutcome::failed(RunStatus::Invalid(e.to_string()), nodes),
         },
     };
     MemberOutcome {
@@ -994,20 +860,15 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_portfolios_agree() {
-        let engine_par = Engine::new(EngineConfig::default());
-        let engine_seq = Engine::new(EngineConfig {
-            parallel_portfolio: false,
-            ..EngineConfig::default()
-        });
-        for seed in 0..4 {
-            let inst = msrs_gen::photolithography(seed, 3, 9, 6);
-            let a = engine_par.solve_instance(&inst);
-            let b = engine_seq.solve_instance(&inst);
-            assert_eq!(a.makespan, b.makespan);
-            assert_eq!(a.winner, b.winner);
-            assert_eq!(a.certified_horizon, b.certified_horizon);
-        }
+    fn member_panics_become_invalid_outcomes() {
+        let literal = catch_member_panic(|| panic!("boom"));
+        assert_eq!(literal.status, RunStatus::Invalid("panic: boom".into()));
+        assert!(literal.schedule.is_none());
+        let formatted = catch_member_panic(|| panic!("member {}", 7));
+        assert_eq!(
+            formatted.status,
+            RunStatus::Invalid("panic: member 7".into())
+        );
     }
 
     #[test]
@@ -1091,11 +952,13 @@ mod tests {
         assert!(!report.proven_optimal);
     }
 
+    /// With a deadline the cache and in-batch dedup are bypassed: every
+    /// request of a batch is solved fresh, each under its own deadline.
     #[test]
-    fn deadline_bounds_the_sequential_path_too() {
+    fn deadline_bounds_every_request_of_a_batch() {
         let engine = Engine::new(EngineConfig {
             deadline: Some(Duration::from_millis(40)),
-            parallel_portfolio: false,
+            cache_capacity: DEFAULT_CACHE_CAPACITY,
             exact: ExactPolicy {
                 max_jobs: 32,
                 max_classes: 32,
@@ -1104,11 +967,15 @@ mod tests {
             ..EngineConfig::default()
         });
         let inst = hard_exact_instance();
+        let reqs = vec![SolveRequest::new(inst.clone()); 2];
         let started = Instant::now();
-        let report = engine.solve_instance(&inst);
+        let reports = engine.solve_batch(&reqs);
         assert!(started.elapsed() < Duration::from_secs(3));
-        assert!(report.runs.iter().any(|r| r.status == RunStatus::TimedOut));
-        assert_eq!(validate(&inst, &report.schedule), Ok(()));
+        for report in &reports {
+            assert!(!report.cache_hit, "deadline runs are never deduplicated");
+            assert!(report.runs.iter().any(|r| r.status == RunStatus::TimedOut));
+            assert_eq!(validate(&inst, &report.schedule), Ok(()));
+        }
     }
 
     #[test]

@@ -10,13 +10,14 @@
 //! * [`portfolio`] — plans a solver portfolio for a profile:
 //!   [`SolverKind::FiveThirds`] as an instant incumbent,
 //!   [`SolverKind::ThreeHalves`] for a certified 1.5·T horizon, the exact
-//!   branch-and-bound and the EPTAS raced under configurable node budgets on
+//!   branch-and-bound and the EPTAS under configurable node budgets on
 //!   instances where they are viable, and the prior-work baselines
 //!   (Hebrard-style greedy, list scheduling, class-merging LPT) as cheap
 //!   quality/latency trade-off probes;
-//! * [`engine`] — the [`Engine`]: runs portfolio members and whole instance
-//!   *batches* in parallel on worker threads, deterministically for a fixed
-//!   configuration, with optional wall-clock deadline cancellation, and
+//! * [`engine`] — the [`Engine`]: runs whole instance *batches* in
+//!   parallel on worker threads (each instance's members one after
+//!   another), deterministically for a fixed configuration, with optional
+//!   wall-clock deadline cancellation, and
 //!   selects the best schedule *certified* by re-validation through
 //!   [`msrs_core::validate()`];
 //! * [`report`] — the typed [`SolveRequest`] / [`SolveReport`] API (solver

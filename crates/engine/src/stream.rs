@@ -507,9 +507,10 @@ pub(crate) type DecodedLine = Result<(Option<u128>, SolveRequest), CorpusError>;
 
 /// Decodes `shard.spans[lo..hi]` with thread-local decoder/scratch
 /// buffers (workers are persistent, so the buffers stay warm across
-/// shards). Stops at the first malformed line in the range: the merge
-/// walks results in corpus order, so the earliest error wins exactly as in
-/// the sequential path.
+/// shards). An error does not stop the range: callers see one result per
+/// line and decide — the batch merge stops at the first `Err` in corpus
+/// order, exactly as the sequential path does, while serve sessions answer
+/// a malformed line with an error response and serve the lines after it.
 fn decode_range(shard: &RawShard, lo: usize, hi: usize, fingerprint: bool) -> Vec<DecodedLine> {
     thread_local! {
         static DECODE_TLS: std::cell::RefCell<(LineDecoder, CanonicalScratch)> =
@@ -520,83 +521,55 @@ fn decode_range(shard: &RawShard, lo: usize, hi: usize, fingerprint: bool) -> Ve
         let mut out = Vec::with_capacity(hi - lo);
         for &(line_no, start, end) in &shard.spans[lo..hi] {
             let t0 = Instant::now();
-            match decoder.decode(line_no, &shard.text[start..end]) {
-                Ok(()) => {
-                    Stage::Decode.record_nanos(nanos(t0.elapsed()));
-                    let fp = if fingerprint {
-                        let t1 = Instant::now();
-                        let builder = decoder.builder();
-                        let fp = msrs_core::flat_fingerprint(
-                            builder.machines(),
-                            builder.sizes(),
-                            builder.offsets(),
-                            scratch,
-                        );
-                        Stage::Canonicalize.record_nanos(nanos(t1.elapsed()));
-                        Some(fp)
-                    } else {
-                        None
-                    };
-                    out.push(Ok((fp, decoder.build_request())));
-                }
-                Err(e) => {
-                    out.push(Err(e));
-                    break;
-                }
+            if let Err(e) = decoder.decode(line_no, &shard.text[start..end]) {
+                out.push(Err(e));
+                continue;
             }
+            Stage::Decode.record_nanos(nanos(t0.elapsed()));
+            let fp = fingerprint.then(|| {
+                let t1 = Instant::now();
+                let builder = decoder.builder();
+                let fp = msrs_core::flat_fingerprint(
+                    builder.machines(),
+                    builder.sizes(),
+                    builder.offsets(),
+                    scratch,
+                );
+                Stage::Canonicalize.record_nanos(nanos(t1.elapsed()));
+                fp
+            });
+            out.push(Ok((fp, decoder.build_request())));
         }
         out
     })
 }
 
-/// Like [`decode_range`], but an error does not stop the unit: serve
-/// sessions are conversations, so a malformed line gets an error
-/// response while the lines after it are still decoded and served.
-fn decode_range_lenient(
-    shard: &RawShard,
-    lo: usize,
-    hi: usize,
+/// Decodes every line of `shard` on pool workers in deterministic
+/// fixed-size units: one result per line, in shard order, errors included.
+/// The `Arc` lets the `'static` pool jobs share the raw text without
+/// copying it.
+fn decode_shard(
+    pool: &rayon::ThreadPool,
+    shard: &Arc<RawShard>,
     fingerprint: bool,
 ) -> Vec<DecodedLine> {
-    thread_local! {
-        static DECODE_TLS: std::cell::RefCell<(LineDecoder, CanonicalScratch)> =
-            std::cell::RefCell::new((LineDecoder::new(), CanonicalScratch::default()));
-    }
-    DECODE_TLS.with(|tls| {
-        let (decoder, scratch) = &mut *tls.borrow_mut();
-        let mut out = Vec::with_capacity(hi - lo);
-        for &(line_no, start, end) in &shard.spans[lo..hi] {
-            let t0 = Instant::now();
-            match decoder.decode(line_no, &shard.text[start..end]) {
-                Ok(()) => {
-                    Stage::Decode.record_nanos(nanos(t0.elapsed()));
-                    let fp = if fingerprint {
-                        let t1 = Instant::now();
-                        let builder = decoder.builder();
-                        let fp = msrs_core::flat_fingerprint(
-                            builder.machines(),
-                            builder.sizes(),
-                            builder.offsets(),
-                            scratch,
-                        );
-                        Stage::Canonicalize.record_nanos(nanos(t1.elapsed()));
-                        Some(fp)
-                    } else {
-                        None
-                    };
-                    out.push(Ok((fp, decoder.build_request())));
-                }
-                Err(e) => out.push(Err(e)),
-            }
-        }
-        out
-    })
+    let n = shard.spans.len();
+    let units: Vec<(usize, usize)> = (0..n)
+        .step_by(DECODE_UNIT_LINES)
+        .map(|lo| (lo, (lo + DECODE_UNIT_LINES).min(n)))
+        .collect();
+    let worker_shard = Arc::clone(shard);
+    let decoded: Vec<Vec<DecodedLine>> = pool.install(|| {
+        units
+            .into_par_iter()
+            .map(move |(lo, hi)| decode_range(&worker_shard, lo, hi, fingerprint))
+            .collect()
+    });
+    decoded.into_iter().flatten().collect()
 }
 
-/// Decodes a burst of pipelined request lines on pool workers in
-/// deterministic fixed-size units: one result per input line, in input
-/// order, errors included ([`decode_range_lenient`]). Used by the serve
-/// sessions' `--decode-threads` path.
+/// Decodes a burst of pipelined request lines with [`decode_shard`]. Used
+/// by the serve sessions' `--decode-threads` path.
 pub(crate) fn decode_burst(
     pool: &rayon::ThreadPool,
     lines: &[(usize, &str)],
@@ -608,20 +581,7 @@ pub(crate) fn decode_burst(
         raw.text.push_str(text);
         raw.spans.push((line_no, start, raw.text.len()));
     }
-    let shard = Arc::new(raw);
-    let n = shard.spans.len();
-    let units: Vec<(usize, usize)> = (0..n)
-        .step_by(DECODE_UNIT_LINES)
-        .map(|lo| (lo, (lo + DECODE_UNIT_LINES).min(n)))
-        .collect();
-    let worker_shard = Arc::clone(&shard);
-    let decoded: Vec<Vec<DecodedLine>> = pool.install(|| {
-        units
-            .into_par_iter()
-            .map(move |(lo, hi)| decode_range_lenient(&worker_shard, lo, hi, fingerprint))
-            .collect()
-    });
-    decoded.into_iter().flatten().collect()
+    decode_shard(pool, &Arc::new(raw), fingerprint)
 }
 
 /// The JSONL **batch driver** over [`ServiceCore`]: reads a corpus from a
@@ -781,23 +741,9 @@ impl JsonlServer {
                 continue;
             }
             // ---- Decode the shard on pool workers. ------------------------
-            // Fixed-size units keep the fan-out deterministic; the Arc lets
-            // the `'static` pool jobs share the raw text without copying.
             let t_decode = Instant::now();
             let shard = Arc::new(std::mem::take(&mut self.raw));
-            let lines = shard.spans.len();
-            let fingerprint = engine.serve_cache_active();
-            let units: Vec<(usize, usize)> = (0..lines)
-                .step_by(DECODE_UNIT_LINES)
-                .map(|lo| (lo, (lo + DECODE_UNIT_LINES).min(lines)))
-                .collect();
-            let worker_shard = Arc::clone(&shard);
-            let decoded: Vec<Vec<DecodedLine>> = pool.install(|| {
-                units
-                    .into_par_iter()
-                    .map(move |(lo, hi)| decode_range(&worker_shard, lo, hi, fingerprint))
-                    .collect()
-            });
+            let decoded = decode_shard(&pool, &shard, engine.serve_cache_active());
             self.core.note_parse(t_decode.elapsed());
             // Recycle the raw buffers unless a stranded pool ticket still
             // holds a clone (possible: enqueued-but-unstarted helper jobs
@@ -809,7 +755,7 @@ impl JsonlServer {
             }
             // ---- Merge in corpus order: probe, classify, solve, emit. -----
             let t_merge = Instant::now();
-            for line in decoded.into_iter().flatten() {
+            for line in decoded {
                 match line {
                     Ok((fp, request)) => {
                         self.core.admit_prepared(engine, fp, request, t_merge);

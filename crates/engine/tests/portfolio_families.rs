@@ -5,6 +5,7 @@
 use msrs_approx::{baselines, ApproxResult};
 use msrs_core::{validate, Instance, Job, Schedule, Time};
 use msrs_engine::fnv::{fnv1a_64, FNV1A_64_BASIS};
+use msrs_engine::json::Json;
 use msrs_engine::{Engine, EngineConfig, RunStatus, SolveRequest, SolverKind};
 
 /// One instance per generator family, across several seeds and machine
@@ -127,6 +128,27 @@ fn reports_serialize_with_consistent_fields() {
     assert_eq!(reparsed, json);
 }
 
+/// `json` with every `wall_micros` zeroed, rendered back to text.
+fn without_wall_micros(mut json: Json) -> String {
+    fn walk(json: &mut Json) {
+        match json {
+            Json::Obj(pairs) => {
+                for (k, v) in pairs.iter_mut() {
+                    if k == "wall_micros" {
+                        *v = Json::Num(0);
+                    } else {
+                        walk(v);
+                    }
+                }
+            }
+            Json::Arr(items) => items.iter_mut().for_each(walk),
+            _ => {}
+        }
+    }
+    walk(&mut json);
+    json.to_string()
+}
+
 /// Drives the real `msrs` binary: gen → batch → reports, plus single solve.
 #[test]
 fn cli_gen_batch_solve_round_trip() {
@@ -176,7 +198,8 @@ fn cli_gen_batch_solve_round_trip() {
         assert!(makespan <= horizon, "uncertified report line: {line}");
     }
 
-    // Single-instance solve over stdin-free JSON input.
+    // Single-instance solve over stdin-free JSON input: the same report
+    // as the batch line for that instance, timings aside.
     let single = dir.join("one.jsonl");
     std::fs::write(&single, corpus_text.lines().next().unwrap()).expect("write single");
     let solve = Command::new(bin)
@@ -187,6 +210,8 @@ fn cli_gen_batch_solve_round_trip() {
     let v = msrs_engine::json::Json::parse(String::from_utf8_lossy(&solve.stdout).trim())
         .expect("solve --json output");
     assert!(v.get("winner").is_some());
+    let first_report = Json::parse(report_text.lines().next().unwrap()).expect("report line");
+    assert_eq!(without_wall_micros(v), without_wall_micros(first_report));
 
     std::fs::remove_dir_all(&dir).ok();
 }

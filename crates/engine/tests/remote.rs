@@ -21,17 +21,17 @@
 //!   interruption points.
 
 use std::fs;
-use std::io::Cursor;
+use std::io::{self, Cursor, Read as _};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use msrs_engine::dispatch::DispatchConfig;
 use msrs_engine::json::Json;
 use msrs_engine::stream::JsonlServer;
-use msrs_engine::{dispatch, jsonl, Engine, EngineConfig, RemoteHub};
+use msrs_engine::{dispatch, jsonl, telemetry, Engine, EngineConfig, RemoteHub};
 
 /// The real `msrs` binary, built by Cargo for this test run.
 const MSRS_BIN: &str = env!("CARGO_BIN_EXE_msrs");
@@ -161,6 +161,23 @@ fn fleet_config(workers: usize, shard_size: usize) -> DispatchConfig {
     }
 }
 
+/// An empty reader whose end of input is held back until `ready` holds,
+/// or until a generous deadline passes, so a broken run fails its
+/// assertions instead of hanging.
+struct EofWhen<F> {
+    ready: F,
+    deadline: Instant,
+}
+
+impl<F: Fn() -> bool> io::Read for EofWhen<F> {
+    fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
+        while !(self.ready)() && Instant::now() < self.deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        Ok(0)
+    }
+}
+
 fn bind_hub() -> (RemoteHub, String) {
     let hub = RemoteHub::bind("127.0.0.1:0").expect("loopback hub binds");
     let addr = hub.local_addr().to_string();
@@ -237,11 +254,10 @@ fn mixed_local_and_remote_fleet_matches_batch_reference() {
 /// structured error, exits non-zero, and the run is unperturbed.
 #[test]
 fn mismatched_worker_is_rejected_at_the_handshake() {
-    // A longer corpus than the other tests: the listener must outlive the
-    // mismatched worker's handshake even when the test host is loaded.
     let text = corpus_text(40);
     let reference = reference_run(&text, 4);
     let (hub, addr) = bind_hub();
+    let rejects_before = telemetry::registry().dispatch_handshake_rejects_total.get();
     let mut rejected = Command::new(MSRS_BIN)
         .args([
             "worker",
@@ -256,9 +272,18 @@ fn mismatched_worker_is_rejected_at_the_handshake() {
         .stderr(Stdio::piped())
         .spawn()
         .expect("mismatched worker spawns");
+    // The corpus only ends once the coordinator has counted the rejected
+    // handshake, so the run cannot finish (and close the listener) before
+    // the mismatched worker has dialled in and been refused.
+    let input = io::BufReader::new(Cursor::new(text).chain(EofWhen {
+        ready: move || {
+            telemetry::registry().dispatch_handshake_rejects_total.get() > rejects_before
+        },
+        deadline: Instant::now() + Duration::from_secs(60),
+    }));
     let out = tmp("reject.jsonl");
     let cfg = fleet_config(1, 4);
-    let outcome = dispatch::dispatch_fleet(Cursor::new(text), &out, None, &cfg, None, Some(hub))
+    let outcome = dispatch::dispatch_fleet(input, &out, None, &cfg, None, Some(hub))
         .expect("dispatch runs despite the rejected worker");
     assert!(outcome.error.is_none());
     assert_eq!(read_redacted(&out), reference);
@@ -268,7 +293,6 @@ fn mismatched_worker_is_rejected_at_the_handshake() {
         "a rejected worker must exit non-zero, got {status:?}"
     );
     let mut stderr = String::new();
-    use std::io::Read as _;
     rejected
         .stderr
         .take()

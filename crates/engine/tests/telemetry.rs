@@ -3,17 +3,25 @@
 //! histograms for every data-plane hop and a per-(profile, member) outcome
 //! row for every portfolio member that raced.
 //!
-//! Everything is asserted as a *delta* against a pre-run snapshot (the
-//! registry is process-global and other tests in other binaries do not
-//! share this process, but staying delta-based keeps the test honest if
-//! more tests are ever added to this file).
+//! It also pins request accounting across entry points: `Engine::solve`
+//! is a one-request `Engine::solve_batch`, report and counters alike.
+//!
+//! Everything is asserted as a *delta* against a pre-run snapshot. The
+//! registry is process-global, so the tests of this file take `SERIAL`
+//! to keep each other's requests out of their deltas.
+
+use std::sync::Mutex;
+use std::time::Duration;
 
 use msrs_engine::stream::serve_jsonl;
 use msrs_engine::telemetry::{self, Stage};
-use msrs_engine::{classify, jsonl, plan, Engine, EngineConfig};
+use msrs_engine::{classify, jsonl, plan, Engine, EngineConfig, SolveReport, SolveRequest};
+
+static SERIAL: Mutex<()> = Mutex::new(());
 
 #[test]
 fn traffic_batch_populates_stages_and_outcome_table() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Production-shaped duplicate-heavy traffic, rendered as JSONL.
     let instances: Vec<_> = (0..64).map(|seed| msrs_gen::traffic(seed, 3, 6)).collect();
     let mut corpus = String::new();
@@ -98,4 +106,77 @@ fn traffic_batch_populates_stages_and_outcome_table() {
     assert!(json.contains("\"outcomes\":[{"));
     let prom = after.to_prometheus();
     assert!(prom.contains("msrs_outcome_runs_total{profile="));
+}
+
+/// The request and cache counters one call moves: requests, cache hits,
+/// cache misses.
+fn counted<T>(call: impl FnOnce() -> T) -> (T, [u64; 3]) {
+    const NAMES: [&str; 3] = [
+        "msrs_requests_total",
+        "msrs_cache_hits_total",
+        "msrs_cache_misses_total",
+    ];
+    let before = telemetry::snapshot();
+    let value = call();
+    let after = telemetry::snapshot();
+    (value, NAMES.map(|n| after.counter(n) - before.counter(n)))
+}
+
+/// A report's JSON with every `wall_micros` zeroed.
+fn timeless(mut report: SolveReport) -> String {
+    report.wall_micros = 0;
+    for run in &mut report.runs {
+        run.wall_micros = 0;
+    }
+    report.to_json().to_string()
+}
+
+#[test]
+fn solve_is_a_one_request_batch() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let off = EngineConfig {
+        cache_capacity: 0,
+        ..EngineConfig::default()
+    };
+    let on = EngineConfig {
+        cache_capacity: 64,
+        ..EngineConfig::default()
+    };
+    // Long enough never to fire, so the reports stay deterministic; a
+    // deadline bypasses the cache all the same.
+    let deadline = EngineConfig {
+        deadline: Some(Duration::from_secs(600)),
+        ..on.clone()
+    };
+    let requests = [
+        SolveRequest::with_id("photo", msrs_gen::photolithography(3, 3, 9, 6)),
+        SolveRequest::with_id("tiny", msrs_gen::uniform(2, 2, 6, 3, 1, 9)),
+    ];
+    for (label, cfg, caches) in [
+        ("off", off, false),
+        ("on", on, true),
+        ("deadline", deadline, false),
+    ] {
+        let single = Engine::new(cfg.clone());
+        let batch = Engine::new(cfg);
+        for req in &requests {
+            // Cold, then again: a hit when the cache is active.
+            for round in 0..2 {
+                let (a, a_counts) = counted(|| single.solve(req));
+                let (mut b, b_counts) = counted(|| batch.solve_batch(std::slice::from_ref(req)));
+                assert_eq!(b.len(), 1);
+                let b = b.pop().unwrap();
+                let ctx = format!("cache {label}, {:?}, round {round}", req.id);
+                assert_eq!(a.cache_hit, caches && round == 1, "{ctx}");
+                assert_eq!(timeless(a), timeless(b), "{ctx}");
+                assert_eq!(a_counts, b_counts, "{ctx}");
+                let expected = match (caches, round) {
+                    (false, _) => [1, 0, 0],
+                    (true, 0) => [1, 0, 1],
+                    (true, _) => [1, 1, 0],
+                };
+                assert_eq!(a_counts, expected, "{ctx}");
+            }
+        }
+    }
 }
