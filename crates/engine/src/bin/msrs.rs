@@ -945,10 +945,12 @@ fn cmd_worker(flags: &Flags) -> Result<(), String> {
         return run_remote_worker(&engine, &cfg).map_err(|e| format!("worker: {e}"));
     }
     let stdin = std::io::stdin();
+    // Buffered: the worker flushes at every protocol boundary (`#cacheq`
+    // batch, `#cachefill`, the `#done`/`#error` tail, heartbeats).
     dispatch::run_worker(
         &engine,
         stdin.lock(),
-        std::io::stdout(),
+        BufWriter::new(std::io::stdout()),
         Duration::from_millis(hb.max(1)),
         decode_threads,
     )

@@ -334,6 +334,10 @@ pub(crate) enum WorkerExit {
 /// them through a persistent [`ServiceCore`], and emits reports + `#done`
 /// stats (or a `#error` record after a decode error's prefix reports).
 ///
+/// `output` is flushed at every protocol boundary (the `#cacheq` batch,
+/// `#cachefill`, the `#done`/`#error` tail, heartbeats, injected
+/// faults), so it may be — and in the CLI is — buffered.
+///
 /// A broken pipe on `output` — the coordinator died — ends the worker
 /// cleanly (`Ok`), mirroring the serve sessions' disconnect handling.
 /// Injected faults (`MSRS_FAULT`) mostly terminate the *process* via
@@ -1840,59 +1844,65 @@ fn truncate(s: &str, max: usize) -> &str {
 }
 
 /// Parses one worker output stream (child stdout or socket read half)
-/// into [`Event`]s. A final line without its newline (a worker dying
-/// mid-write) is garbage, never a report.
+/// into [`Event`]s, ending with one [`Event::Eof`]. A final line without
+/// its newline (a worker dying mid-write) and a line that is not UTF-8
+/// are garbage, never a report.
 pub(crate) fn read_worker_lines<R: Read>(ordinal: u64, input: R, tx: &Sender<Msg>) {
     let mut reader = BufReader::new(input);
-    let mut buf = String::new();
+    let mut buf = Vec::new();
     loop {
         buf.clear();
-        match reader.read_line(&mut buf) {
+        match reader.read_until(b'\n', &mut buf) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
-        let terminated = buf.ends_with('\n');
-        let line = buf.trim_end_matches(['\n', '\r']);
-        let event = if !terminated {
-            Event::Garbage(line.to_string())
-        } else if line == "#hb" {
-            Event::Heartbeat
-        } else if let Some(payload) = line.strip_prefix("#done ") {
-            match Json::parse(payload).ok().as_ref().and_then(parse_done) {
-                Some((shard, attempt, stats)) => Event::Done {
-                    shard,
-                    attempt,
-                    stats,
-                },
-                None => Event::Garbage(line.to_string()),
-            }
-        } else if let Some(payload) = line.strip_prefix("#error ") {
-            match Json::parse(payload) {
-                Ok(v) => Event::Error(v),
-                Err(_) => Event::Garbage(line.to_string()),
-            }
-        } else if let Some(fp_hex) = line.strip_prefix("#cacheq ") {
-            match u128::from_str_radix(fp_hex.trim(), 16) {
-                Ok(fp) => Event::CacheQ(fp),
-                Err(_) => Event::Garbage(line.to_string()),
-            }
-        } else if let Some(rest) = line.strip_prefix("#cachefill ") {
-            match rest.split_once(' ').and_then(|(fp_hex, payload)| {
-                Some((u128::from_str_radix(fp_hex, 16).ok()?, payload))
-            }) {
-                Some((fp, payload)) => Event::CacheFill(fp, payload.to_string()),
-                None => Event::Garbage(line.to_string()),
-            }
-        } else if line.starts_with('{') {
-            Event::Report(line.to_string())
-        } else {
-            Event::Garbage(line.to_string())
+        let event = match buf.strip_suffix(b"\n").map(std::str::from_utf8) {
+            Some(Ok(line)) => worker_event(line),
+            _ => Event::Garbage(String::from_utf8_lossy(&buf).trim_end().to_string()),
         };
         if tx.send(Msg::Worker(ordinal, event)).is_err() {
             return; // coordinator gone
         }
     }
     let _ = tx.send(Msg::Worker(ordinal, Event::Eof));
+}
+
+/// Classifies one complete worker output line (newline stripped).
+fn worker_event(line: &str) -> Event {
+    if line == "#hb" {
+        Event::Heartbeat
+    } else if let Some(payload) = line.strip_prefix("#done ") {
+        match Json::parse(payload).ok().as_ref().and_then(parse_done) {
+            Some((shard, attempt, stats)) => Event::Done {
+                shard,
+                attempt,
+                stats,
+            },
+            None => Event::Garbage(line.to_string()),
+        }
+    } else if let Some(payload) = line.strip_prefix("#error ") {
+        match Json::parse(payload) {
+            Ok(v) => Event::Error(v),
+            Err(_) => Event::Garbage(line.to_string()),
+        }
+    } else if let Some(fp_hex) = line.strip_prefix("#cacheq ") {
+        match u128::from_str_radix(fp_hex.trim(), 16) {
+            Ok(fp) => Event::CacheQ(fp),
+            Err(_) => Event::Garbage(line.to_string()),
+        }
+    } else if let Some(rest) = line.strip_prefix("#cachefill ") {
+        match rest
+            .split_once(' ')
+            .and_then(|(fp_hex, payload)| Some((u128::from_str_radix(fp_hex, 16).ok()?, payload)))
+        {
+            Some((fp, payload)) => Event::CacheFill(fp, payload.to_string()),
+            None => Event::Garbage(line.to_string()),
+        }
+    } else if line.starts_with('{') {
+        Event::Report(line.to_string())
+    } else {
+        Event::Garbage(line.to_string())
+    }
 }
 
 fn parse_done(v: &Json) -> Option<(usize, u32, ShardStats)> {
@@ -2227,6 +2237,7 @@ pub fn dispatch_fleet<R: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fault_spec_grammar() {
@@ -2353,5 +2364,78 @@ mod tests {
             },
         );
         assert!(json.get("worker").is_none());
+    }
+
+    /// Runs [`read_worker_lines`] over `bytes` and collects its events.
+    fn worker_events(bytes: &[u8]) -> Vec<Event> {
+        let (tx, rx) = mpsc::channel();
+        read_worker_lines(7, bytes, &tx);
+        drop(tx);
+        rx.into_iter()
+            .map(|msg| match msg {
+                Msg::Worker(7, event) => event,
+                _ => panic!("unexpected message from the reader"),
+            })
+            .collect()
+    }
+
+    /// Protocol-shaped fragments the fuzzer splices between random bytes,
+    /// so heartbeats, tails and control prefixes actually occur.
+    const FRAGMENTS: &[&[u8]] = &[
+        b"#hb",
+        b"\n",
+        b"#hb\n",
+        b"#hb\r\n",
+        b"#done {\"shard\":1,\"attempt\":1}",
+        b"#error {}",
+        b"#cacheq 0f",
+        b"#cachefill 0f {}",
+        b"{\"id\":\"r\"}",
+        b"\xff\xfe",
+        b" ",
+    ];
+
+    fn arb_worker_output() -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec((0..FRAGMENTS.len() + 2, any::<u8>()), 0..48).prop_map(|tokens| {
+            let mut bytes = Vec::new();
+            for (pick, byte) in tokens {
+                match FRAGMENTS.get(pick) {
+                    Some(fragment) => bytes.extend_from_slice(fragment),
+                    None => bytes.push(byte),
+                }
+            }
+            bytes
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary worker output never panics the reader: every line
+        /// becomes exactly one event and the stream ends with one `Eof`;
+        /// an unterminated tail is garbage, exactly `#hb\n` is a
+        /// heartbeat, and a report is the line's bytes unaltered.
+        #[test]
+        fn worker_output_parser_survives_arbitrary_bytes(bytes in arb_worker_output()) {
+            let events = worker_events(&bytes);
+            let mut lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
+            prop_assert!(matches!(events.last(), Some(Event::Eof)));
+            prop_assert_eq!(events.iter().filter(|e| matches!(e, Event::Eof)).count(), 1);
+            prop_assert_eq!(events.len(), lines.len() + 1);
+            if let Some(tail) = lines.last().filter(|l| !l.ends_with(b"\n")) {
+                prop_assert!(
+                    matches!(events[lines.len() - 1], Event::Garbage(_)),
+                    "unterminated tail {:?} was not garbage",
+                    String::from_utf8_lossy(tail)
+                );
+                lines.pop();
+            }
+            for (line, event) in lines.iter().zip(&events) {
+                prop_assert_eq!(matches!(event, Event::Heartbeat), *line == b"#hb\n");
+                if let Event::Report(text) = event {
+                    prop_assert_eq!(format!("{text}\n").as_bytes(), *line);
+                }
+            }
+        }
     }
 }

@@ -288,7 +288,7 @@ pub fn run_remote_worker(engine: &Engine, cfg: &RemoteWorkerConfig) -> io::Resul
                 let exit = run_worker_conn(
                     engine,
                     reader,
-                    stream,
+                    io::BufWriter::new(stream),
                     cfg.heartbeat,
                     env_index.or(Some(ordinal)),
                     cfg.decode_threads,

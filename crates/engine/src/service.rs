@@ -27,6 +27,14 @@
 //! session cleanly — counted in `msrs_serve_disconnects_total`, never a
 //! session-thread error.
 //!
+//! Responses are written into a per-session buffer and flushed only where
+//! the session could block or hands over control: before a read that
+//! could block (the read buffer holds no complete request line), at EOF,
+//! and after `#stats`, `idle_timeout`, `session_limit` and `overloaded`
+//! lines. A lockstep client therefore gets every reply in a write of its
+//! own, while a pipelining client's replies share few large writes;
+//! `msrs_serve_write_batches_total` counts the socket writes.
+//!
 //! Control lines start with `#` (comments in batch corpora):
 //!
 //! * `#stats` — responds with one line: the full telemetry snapshot as
@@ -59,7 +67,7 @@
 //! effect stays ordered too. `--decode-threads 1` (the default) keeps
 //! the line-at-a-time path.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -70,6 +78,7 @@ use msrs_telemetry::registry;
 
 use crate::engine::Engine;
 use crate::json::Json;
+use crate::jsonl::CorpusError;
 use crate::report::{RunStatus, SolveReport};
 use crate::stream::ServiceCore;
 
@@ -109,6 +118,8 @@ pub struct ServeSummary {
     pub sheds: u64,
     /// Request lines answered with a parse error.
     pub errors: u64,
+    /// Socket writes that carried response bytes, across all sessions.
+    pub write_batches: u64,
 }
 
 /// State shared by the accept loop, every session thread, and the handle.
@@ -133,6 +144,7 @@ struct ServerShared {
     requests_total: AtomicU64,
     sheds_total: AtomicU64,
     errors_total: AtomicU64,
+    write_batches_total: AtomicU64,
 }
 
 impl ServerShared {
@@ -233,6 +245,7 @@ impl ServerHandle {
             requests: self.shared.requests_total.load(Ordering::SeqCst),
             sheds: self.shared.sheds_total.load(Ordering::SeqCst),
             errors: self.shared.errors_total.load(Ordering::SeqCst),
+            write_batches: self.shared.write_batches_total.load(Ordering::SeqCst),
         }
     }
 }
@@ -259,6 +272,7 @@ pub fn serve(engine: Engine, addr: &str, config: ServeConfig) -> io::Result<Serv
         requests_total: AtomicU64::new(0),
         sheds_total: AtomicU64::new(0),
         errors_total: AtomicU64::new(0),
+        write_batches_total: AtomicU64::new(0),
     });
     let (metrics_thread, metrics_local_addr) = match config.metrics_addr.as_deref() {
         Some(addr) => {
@@ -292,9 +306,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
-                // Responses are small single-line writes in a request-response
-                // protocol: leaving Nagle on would stall each one behind the
-                // peer's delayed ACK.
+                // Responses leave in flushes at protocol boundaries, each one
+                // awaited by the peer: leaving Nagle on would stall a flush
+                // behind the peer's delayed ACK.
                 let _ = stream.set_nodelay(true);
                 let session_id = shared.sessions_total.fetch_add(1, Ordering::SeqCst);
                 registry().serve_sessions_total.inc();
@@ -347,8 +361,23 @@ fn error_line_bytes(kind: &str, fields: &[(&str, Json)]) -> Vec<u8> {
 }
 
 /// Writes one structured error line.
-fn write_error_line(out: &mut TcpStream, kind: &str, fields: &[(&str, Json)]) -> io::Result<()> {
+fn write_error_line(out: &mut impl Write, kind: &str, fields: &[(&str, Json)]) -> io::Result<()> {
     out.write_all(&error_line_bytes(kind, fields))
+}
+
+/// Renders the in-line answer to a request line that failed to decode.
+fn corpus_error_line_bytes(e: &CorpusError) -> Vec<u8> {
+    let (kind, line) = match e {
+        CorpusError::Json { line, .. } | CorpusError::Malformed { line, .. } => ("parse", *line),
+        CorpusError::Io { line, .. } => ("io", *line),
+    };
+    error_line_bytes(
+        kind,
+        &[
+            ("line", Json::Num(line as i128)),
+            ("message", Json::Str(e.to_string())),
+        ],
+    )
 }
 
 /// Counts a served report against the deadline-hit counter when any of
@@ -386,63 +415,145 @@ fn is_idle_expiry(e: &io::Error) -> bool {
     )
 }
 
+/// A session's socket write half, counting every write that carried
+/// bytes (per server and in `msrs_serve_write_batches_total`).
+struct CountingStream<'a> {
+    stream: TcpStream,
+    batches: &'a AtomicU64,
+}
+
+impl Write for CountingStream<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.stream.write(buf)?;
+        if n > 0 {
+            self.batches.fetch_add(1, Ordering::Relaxed);
+            registry().serve_write_batches_total.inc();
+        }
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+/// One session's ends: the request reader (idle timeout armed) and the
+/// buffered response writer.
+fn session_io(
+    stream: TcpStream,
+    shared: &ServerShared,
+) -> io::Result<(BufReader<TcpStream>, BufWriter<CountingStream<'_>>)> {
+    let reader_stream = stream.try_clone()?;
+    reader_stream.set_read_timeout(shared.idle_timeout)?;
+    let out = BufWriter::new(CountingStream {
+        stream,
+        batches: &shared.write_batches_total,
+    });
+    Ok((BufReader::new(reader_stream), out))
+}
+
+/// Reads the next request line. When the read could block — the reader
+/// holds no complete line — the buffered responses are flushed first, so
+/// a client never waits on a reply the server is sitting on.
+/// `Ok(false)` ends the session: EOF, or an idle-timeout expiry (after
+/// writing the `idle_timeout` line).
+fn next_line(
+    reader: &mut BufReader<TcpStream>,
+    out: &mut impl Write,
+    shared: &ServerShared,
+    line: &mut String,
+) -> io::Result<bool> {
+    if !reader.buffer().contains(&b'\n') {
+        out.flush()?;
+    }
+    line.clear();
+    match reader.read_line(line) {
+        Ok(n) => Ok(n > 0),
+        Err(e) if is_idle_expiry(&e) => {
+            registry().serve_idle_closes_total.inc();
+            let idle_ms = shared
+                .idle_timeout
+                .map(|d| d.as_millis() as i128)
+                .unwrap_or(0);
+            write_error_line(out, "idle_timeout", &[("idle_ms", Json::Num(idle_ms))])?;
+            Ok(false)
+        }
+        Err(e) => Err(e),
+    }
+}
+
+/// Runs a `#` control line: `#stats` answers (and flushes) the telemetry
+/// snapshot, `#shutdown` begins graceful shutdown, anything else is
+/// ignored.
+fn run_control(control: &str, out: &mut impl Write, shared: &ServerShared) -> io::Result<()> {
+    match control.trim() {
+        "stats" => {
+            let mut doc = registry().snapshot().to_json_string();
+            doc.push('\n');
+            out.write_all(doc.as_bytes())?;
+            out.flush()
+        }
+        "shutdown" => {
+            shared.begin_shutdown();
+            Ok(())
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Closes the session with a `session_limit` line once it has served
+/// `--max-requests-per-session` requests; `Ok(true)` means closed.
+fn session_limit_reached(
+    served_requests: usize,
+    out: &mut impl Write,
+    shared: &ServerShared,
+) -> io::Result<bool> {
+    let max = shared.max_requests_per_session;
+    if max == 0 || served_requests < max {
+        return Ok(false);
+    }
+    registry().serve_limit_closes_total.inc();
+    write_error_line(
+        out,
+        "session_limit",
+        &[("max_requests", Json::Num(max as i128))],
+    )?;
+    Ok(true)
+}
+
+/// Counts a shed request and renders its `overloaded` answer.
+fn shed_line(shared: &ServerShared) -> Vec<u8> {
+    shared.sheds_total.fetch_add(1, Ordering::SeqCst);
+    registry().serve_sheds_total.inc();
+    error_line_bytes(
+        "overloaded",
+        &[("max_inflight", Json::Num(shared.max_inflight as i128))],
+    )
+}
+
 fn session_conversation(stream: TcpStream, shared: &Arc<ServerShared>) -> io::Result<()> {
     if shared.decode_threads > 1 {
         return session_conversation_batched(stream, shared);
     }
-    let reader_stream = stream.try_clone()?;
-    reader_stream.set_read_timeout(shared.idle_timeout)?;
-    let mut reader = BufReader::new(reader_stream);
-    let mut out = stream;
+    let (mut reader, mut out) = session_io(stream, shared)?;
     let mut core = ServiceCore::new();
     core.begin(1);
     let mut line_buf = String::new();
     let mut line_no = 0usize;
     let mut served_requests = 0usize;
-    loop {
-        line_buf.clear();
+    while next_line(&mut reader, &mut out, shared, &mut line_buf)? {
         line_no += 1;
-        match reader.read_line(&mut line_buf) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e) if is_idle_expiry(&e) => {
-                registry().serve_idle_closes_total.inc();
-                let idle_ms = shared
-                    .idle_timeout
-                    .map(|d| d.as_millis() as i128)
-                    .unwrap_or(0);
-                write_error_line(&mut out, "idle_timeout", &[("idle_ms", Json::Num(idle_ms))])?;
-                out.flush()?;
-                break;
-            }
-            Err(e) => return Err(e),
-        }
         let line = line_buf.trim();
         if line.is_empty() {
             continue;
         }
         if let Some(control) = line.strip_prefix('#') {
-            match control.trim() {
-                "stats" => {
-                    let mut doc = registry().snapshot().to_json_string();
-                    doc.push('\n');
-                    out.write_all(doc.as_bytes())?;
-                    out.flush()?;
-                }
-                "shutdown" => shared.begin_shutdown(),
-                _ => {}
-            }
+            run_control(control, &mut out, shared)?;
             continue;
         }
         // ---- Admission control. -------------------------------------------
         if !shared.try_admit() {
-            shared.sheds_total.fetch_add(1, Ordering::SeqCst);
-            registry().serve_sheds_total.inc();
-            write_error_line(
-                &mut out,
-                "overloaded",
-                &[("max_inflight", Json::Num(shared.max_inflight as i128))],
-            )?;
+            out.write_all(&shed_line(shared))?;
             out.flush()?;
             continue;
         }
@@ -457,19 +568,7 @@ fn session_conversation(stream: TcpStream, shared: &Arc<ServerShared>) -> io::Re
             }),
             Err(e) => {
                 shared.errors_total.fetch_add(1, Ordering::SeqCst);
-                let (kind, line) = match &e {
-                    crate::jsonl::CorpusError::Json { line, .. } => ("parse", *line),
-                    crate::jsonl::CorpusError::Malformed { line, .. } => ("parse", *line),
-                    crate::jsonl::CorpusError::Io { line, .. } => ("io", *line),
-                };
-                write_error_line(
-                    &mut out,
-                    kind,
-                    &[
-                        ("line", Json::Num(line as i128)),
-                        ("message", Json::Str(e.to_string())),
-                    ],
-                )
+                out.write_all(&corpus_error_line_bytes(&e))
             }
         };
         shared.release();
@@ -478,24 +577,11 @@ fn session_conversation(stream: TcpStream, shared: &Arc<ServerShared>) -> io::Re
             shared.requests_total.fetch_add(1, Ordering::SeqCst);
             served_requests += 1;
         }
-        out.flush()?;
-        if shared.max_requests_per_session != 0
-            && served_requests >= shared.max_requests_per_session
-        {
-            registry().serve_limit_closes_total.inc();
-            write_error_line(
-                &mut out,
-                "session_limit",
-                &[(
-                    "max_requests",
-                    Json::Num(shared.max_requests_per_session as i128),
-                )],
-            )?;
-            out.flush()?;
+        if session_limit_reached(served_requests, &mut out, shared)? {
             break;
         }
     }
-    Ok(())
+    out.flush()
 }
 
 /// Maximum request lines coalesced into one pipelined burst: bounds the
@@ -515,10 +601,7 @@ enum Plan {
 /// the admitted lines in parallel, and answers strictly in request order.
 /// Semantics are otherwise identical to the sequential path.
 fn session_conversation_batched(stream: TcpStream, shared: &Arc<ServerShared>) -> io::Result<()> {
-    let reader_stream = stream.try_clone()?;
-    reader_stream.set_read_timeout(shared.idle_timeout)?;
-    let mut reader = BufReader::new(reader_stream);
-    let mut out = stream;
+    let (mut reader, mut out) = session_io(stream, shared)?;
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(shared.decode_threads)
         .build()
@@ -529,24 +612,8 @@ fn session_conversation_batched(stream: TcpStream, shared: &Arc<ServerShared>) -
     let mut line_no = 0usize;
     let mut served_requests = 0usize;
     let mut closing = false;
-    while !closing {
-        line_buf.clear();
+    while !closing && next_line(&mut reader, &mut out, shared, &mut line_buf)? {
         line_no += 1;
-        match reader.read_line(&mut line_buf) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e) if is_idle_expiry(&e) => {
-                registry().serve_idle_closes_total.inc();
-                let idle_ms = shared
-                    .idle_timeout
-                    .map(|d| d.as_millis() as i128)
-                    .unwrap_or(0);
-                write_error_line(&mut out, "idle_timeout", &[("idle_ms", Json::Num(idle_ms))])?;
-                out.flush()?;
-                break;
-            }
-            Err(e) => return Err(e),
-        }
         // ---- Coalesce the burst: the line just read plus every complete
         // line already sitting in the read buffer. A control line cuts the
         // burst so its effect stays ordered relative to the responses.
@@ -564,6 +631,8 @@ fn session_conversation_batched(stream: TcpStream, shared: &Arc<ServerShared>) -
             if batch.len() >= MAX_SERVE_BATCH || !reader.buffer().contains(&b'\n') {
                 break;
             }
+            // Only an already-buffered line is read here: this never
+            // blocks, so there is nothing to flush first.
             line_buf.clear();
             line_no += 1;
             match reader.read_line(&mut line_buf) {
@@ -572,15 +641,13 @@ fn session_conversation_batched(stream: TcpStream, shared: &Arc<ServerShared>) -
                     break;
                 }
                 Ok(_) => {}
-                Err(e) => {
-                    // Only already-buffered lines are drained here, so an
-                    // expiry cannot happen — treat anything as session end.
-                    if is_idle_expiry(&e) {
-                        closing = true;
-                        break;
-                    }
-                    return Err(e);
+                // An expiry cannot happen on buffered bytes — treat it as
+                // session end.
+                Err(e) if is_idle_expiry(&e) => {
+                    closing = true;
+                    break;
                 }
+                Err(e) => return Err(e),
             }
         }
         if !batch.is_empty() {
@@ -594,43 +661,23 @@ fn session_conversation_batched(stream: TcpStream, shared: &Arc<ServerShared>) -
             )?;
         }
         if let Some(control) = pending_control.as_deref().and_then(|l| l.strip_prefix('#')) {
-            match control.trim() {
-                "stats" => {
-                    let mut doc = registry().snapshot().to_json_string();
-                    doc.push('\n');
-                    out.write_all(doc.as_bytes())?;
-                    out.flush()?;
-                }
-                "shutdown" => shared.begin_shutdown(),
-                _ => {}
-            }
+            run_control(control, &mut out, shared)?;
         }
-        if shared.max_requests_per_session != 0
-            && served_requests >= shared.max_requests_per_session
-        {
-            registry().serve_limit_closes_total.inc();
-            write_error_line(
-                &mut out,
-                "session_limit",
-                &[(
-                    "max_requests",
-                    Json::Num(shared.max_requests_per_session as i128),
-                )],
-            )?;
-            out.flush()?;
+        if session_limit_reached(served_requests, &mut out, shared)? {
             break;
         }
     }
-    Ok(())
+    out.flush()
 }
 
 /// Serves one burst: admission per line in arrival order, parallel decode
 /// of the admitted lines, responses written strictly in request order
-/// (the N-th line written answers the N-th line of the burst).
+/// (the N-th line written answers the N-th line of the burst). A burst
+/// that shed a request is flushed at its end.
 fn serve_burst(
     core: &mut ServiceCore,
     pool: &rayon::ThreadPool,
-    out: &mut TcpStream,
+    out: &mut impl Write,
     shared: &ServerShared,
     batch: &[(usize, String)],
     served_requests: &mut usize,
@@ -644,14 +691,10 @@ fn serve_burst(
             decode_slots.push(slot);
             plans.push(Plan::Core);
         } else {
-            shared.sheds_total.fetch_add(1, Ordering::SeqCst);
-            registry().serve_sheds_total.inc();
-            plans.push(Plan::Immediate(error_line_bytes(
-                "overloaded",
-                &[("max_inflight", Json::Num(shared.max_inflight as i128))],
-            )));
+            plans.push(Plan::Immediate(shed_line(shared)));
         }
     }
+    let shed = to_decode.len() < batch.len();
     let t0 = Instant::now();
     let decoded = if to_decode.is_empty() {
         Vec::new()
@@ -668,23 +711,12 @@ fn serve_burst(
             Err(e) => {
                 shared.release();
                 shared.errors_total.fetch_add(1, Ordering::SeqCst);
-                let (kind, line) = match &e {
-                    crate::jsonl::CorpusError::Json { line, .. } => ("parse", *line),
-                    crate::jsonl::CorpusError::Malformed { line, .. } => ("parse", *line),
-                    crate::jsonl::CorpusError::Io { line, .. } => ("io", *line),
-                };
-                plans[slot] = Plan::Immediate(error_line_bytes(
-                    kind,
-                    &[
-                        ("line", Json::Num(line as i128)),
-                        ("message", Json::Str(e.to_string())),
-                    ],
-                ));
+                plans[slot] = Plan::Immediate(corpus_error_line_bytes(&e));
             }
         }
     }
     // Emit: each core report answers the next `Core` slot; `Immediate`
-    // lines ahead of it are flushed first so ordering holds.
+    // lines ahead of it are written first so ordering holds.
     let mut cursor = 0usize;
     let served = core.flush_with(&shared.engine, |bytes, report| {
         while let Some(Plan::Immediate(line)) = plans.get(cursor) {
@@ -709,7 +741,10 @@ fn serve_burst(
         .requests_total
         .fetch_add(admitted as u64, Ordering::SeqCst);
     *served_requests += admitted;
-    out.flush()
+    if shed {
+        out.flush()?;
+    }
+    Ok(())
 }
 
 /// A minimal HTTP/1.1 responder for the metrics listener: every GET gets

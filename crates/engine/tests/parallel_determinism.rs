@@ -9,7 +9,9 @@
 use std::time::{Duration, Instant};
 
 use msrs_core::{validate, Instance, Time};
-use msrs_engine::{Engine, EngineConfig, ExactPolicy, RunStatus, SolveReport, SolveRequest};
+use msrs_engine::{
+    Engine, EngineConfig, ExactPolicy, RunStatus, SolveReport, SolveRequest, SolverKind,
+};
 use proptest::prelude::*;
 
 fn arb_corpus() -> impl Strategy<Value = Vec<Instance>> {
@@ -129,5 +131,43 @@ fn portfolio_deadline_is_respected_with_timed_out_member() {
         );
         assert_eq!(validate(&inst, &report.schedule), Ok(()));
         assert!(report.makespan <= report.certified_horizon);
+    }
+}
+
+/// An exact member cut off by its node budget reports the same status,
+/// node count and report at every thread count: the engine pins the
+/// branch-and-bound to one thread, so the budget always buys the same
+/// search.
+#[test]
+fn node_budget_exhaustion_is_identical_across_thread_counts() {
+    // Parity-gap partition: no perfect split, so 500 nodes cannot prove
+    // the optimum and the exact member stops at its budget.
+    let inst = msrs_gen::parity_gap_partition(13);
+    let solve = |threads: usize| {
+        let report = Engine::new(EngineConfig {
+            threads,
+            exact: ExactPolicy {
+                max_jobs: 32,
+                max_classes: 32,
+                max_nodes: 500,
+            },
+            ..EngineConfig::default()
+        })
+        .solve_instance(&inst);
+        let exact = report
+            .runs
+            .iter()
+            .find(|run| run.solver == SolverKind::Exact)
+            .expect("the exact member is planned");
+        (exact.status.clone(), exact.nodes, comparable(&report))
+    };
+    let baseline = solve(1);
+    assert_eq!(baseline.0, RunStatus::Exhausted, "the budget must bind");
+    assert!(
+        baseline.1.is_some(),
+        "the exact member reports its node count"
+    );
+    for threads in [2usize, 8] {
+        assert_eq!(solve(threads), baseline, "thread count {threads} diverged");
     }
 }

@@ -19,7 +19,11 @@
 //!   `idle_timeout` line after `--idle-timeout-ms`, a session that served
 //!   `--max-requests-per-session` requests is closed with a
 //!   `session_limit` line, and a peer that hangs up mid-conversation ends
-//!   its session cleanly (counted, never a session-thread error).
+//!   its session cleanly (counted, never a session-thread error);
+//! * **write coalescing** — a lockstep client gets one socket write per
+//!   reply, a pipelined corpus gets its replies in far fewer writes than
+//!   requests, and a reply is never held back behind a partial request
+//!   line.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -392,6 +396,7 @@ fn stats_errors_and_control_lines() {
     assert!(prom.contains("text/plain"));
     assert!(prom.contains("msrs_requests_total"));
     assert!(prom.contains("msrs_serve_sessions_open"));
+    assert!(prom.contains("msrs_serve_write_batches_total"));
     let json = http("/stats.json");
     assert!(json.starts_with("HTTP/1.1 200 OK"));
     assert!(json.contains("application/json"));
@@ -712,4 +717,137 @@ fn peer_disconnect_ends_session_cleanly() {
     handle.begin_shutdown();
     let summary = handle.wait();
     assert_eq!(summary.sessions, 2);
+}
+
+/// Both session paths: line-at-a-time and the `decode_threads` burst path.
+fn session_paths() -> [ServeConfig; 2] {
+    [
+        ServeConfig::default(),
+        ServeConfig {
+            decode_threads: 2,
+            ..ServeConfig::default()
+        },
+    ]
+}
+
+/// A lockstep client (next request only after the previous reply) gets
+/// every reply in a socket write of its own.
+#[test]
+fn lockstep_client_gets_one_write_per_reply() {
+    let _guard = serialized();
+    let lines = corpus_lines();
+    for config in session_paths() {
+        let decode_threads = config.decode_threads;
+        let handle = serve(engine(1, 1024), "127.0.0.1:0", config).expect("server binds");
+        let mut client = TcpStream::connect(handle.local_addr()).expect("connects");
+        let mut reader = BufReader::new(client.try_clone().expect("clone"));
+        for (i, line) in lines.iter().enumerate() {
+            client
+                .write_all(format!("{line}\n").as_bytes())
+                .expect("write");
+            let mut resp = String::new();
+            reader.read_line(&mut resp).expect("read");
+            let report = Json::parse(resp.trim()).expect("report parses");
+            assert_eq!(
+                report.get("id").and_then(Json::as_str),
+                Some(format!("c{i}").as_str())
+            );
+        }
+        drop((client, reader));
+        handle.begin_shutdown();
+        let summary = handle.wait();
+        assert_eq!(summary.requests, lines.len() as u64);
+        assert_eq!(
+            summary.write_batches, summary.requests,
+            "one write per lockstep reply (decode_threads {decode_threads})"
+        );
+    }
+}
+
+/// A 200-line corpus sent in one write gets the sequential batch run's
+/// replies, in order, in fewer than half as many socket writes.
+#[test]
+fn pipelined_corpus_replies_coalesce_into_few_writes() {
+    let _guard = serialized();
+    let lines: Vec<String> = (0..200u64)
+        .map(|seed| {
+            jsonl::write_instance_line(Some(&format!("p{seed}")), &msrs_gen::traffic(seed, 3, 4))
+        })
+        .collect();
+    let corpus_text = format!("{}\n", lines.join("\n"));
+    let mut ref_out = Vec::new();
+    JsonlServer::new()
+        .serve(&engine(1, 1024), corpus_text.as_bytes(), &mut ref_out, 64)
+        .expect("reference batch run");
+    let reference: Vec<String> = String::from_utf8(ref_out)
+        .expect("utf8 reports")
+        .lines()
+        .map(redacted)
+        .collect();
+    for config in session_paths() {
+        let decode_threads = config.decode_threads;
+        let handle = serve(engine(1, 1024), "127.0.0.1:0", config).expect("server binds");
+        let mut client = TcpStream::connect(handle.local_addr()).expect("connects");
+        let reader = BufReader::new(client.try_clone().expect("clone"));
+        client
+            .write_all(corpus_text.as_bytes())
+            .expect("write corpus");
+        let got: Vec<String> = reader
+            .lines()
+            .take(lines.len())
+            .map(|line| redacted(&line.expect("read")))
+            .collect();
+        assert_eq!(got, reference, "decode_threads {decode_threads}");
+        drop(client);
+        handle.begin_shutdown();
+        let summary = handle.wait();
+        assert_eq!(summary.requests, lines.len() as u64);
+        assert!(
+            summary.write_batches < summary.requests / 2,
+            "{} writes for {} pipelined replies (decode_threads {decode_threads})",
+            summary.write_batches,
+            summary.requests
+        );
+    }
+}
+
+/// A reply is flushed before the session blocks on the rest of a partial
+/// request line: the client sees it while the next line is still torn.
+#[test]
+fn reply_is_not_held_behind_a_partial_line() {
+    let _guard = serialized();
+    for config in session_paths() {
+        let decode_threads = config.decode_threads;
+        let handle = serve(engine(1, 0), "127.0.0.1:0", config).expect("server binds");
+        let mut client = TcpStream::connect(handle.local_addr()).expect("connects");
+        let mut reader = BufReader::new(client.try_clone().expect("clone"));
+        reader
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let late = tiny_line("late");
+        let (head, tail) = late.split_at(late.len() / 2);
+        client
+            .write_all(format!("{}\n{head}", tiny_line("early")).as_bytes())
+            .expect("write request and partial line");
+        let mut resp = String::new();
+        reader
+            .read_line(&mut resp)
+            .unwrap_or_else(|e| panic!("reply held back (decode_threads {decode_threads}): {e}"));
+        let report = Json::parse(resp.trim()).expect("report parses");
+        assert_eq!(report.get("id").and_then(Json::as_str), Some("early"));
+
+        client
+            .write_all(format!("{tail}\n").as_bytes())
+            .expect("complete the line");
+        resp.clear();
+        reader.read_line(&mut resp).expect("read completed reply");
+        let report = Json::parse(resp.trim()).expect("report parses");
+        assert_eq!(report.get("id").and_then(Json::as_str), Some("late"));
+        drop((client, reader));
+        handle.begin_shutdown();
+        let summary = handle.wait();
+        assert_eq!(summary.requests, 2, "decode_threads {decode_threads}");
+        assert_eq!(summary.errors, 0, "decode_threads {decode_threads}");
+    }
 }

@@ -591,6 +591,10 @@ pub struct Registry {
     /// Serve sessions whose peer disconnected mid-write (`EPIPE` /
     /// connection reset), ended cleanly instead of erroring.
     pub serve_disconnects_total: Counter,
+    /// Socket writes that carried serve response bytes: responses are
+    /// buffered and flushed only where a session could block, so
+    /// responses per write shows how well replies coalesce.
+    pub serve_write_batches_total: Counter,
     /// Worker child processes spawned by `msrs dispatch` (including
     /// replacements after crashes).
     pub dispatch_workers_spawned_total: Counter,
@@ -695,6 +699,7 @@ impl Registry {
             serve_idle_closes_total: Counter::new(),
             serve_limit_closes_total: Counter::new(),
             serve_disconnects_total: Counter::new(),
+            serve_write_batches_total: Counter::new(),
             dispatch_workers_spawned_total: Counter::new(),
             dispatch_worker_crashes_total: Counter::new(),
             dispatch_retries_total: Counter::new(),
@@ -732,7 +737,7 @@ impl Registry {
         &self.stages[stage as usize]
     }
 
-    fn counters(&self) -> [(&'static str, &Counter); 41] {
+    fn counters(&self) -> [(&'static str, &Counter); 42] {
         [
             ("msrs_requests_total", &self.requests_total),
             ("msrs_serve_fast_path_total", &self.serve_fast_path_total),
@@ -768,6 +773,10 @@ impl Registry {
             (
                 "msrs_serve_disconnects_total",
                 &self.serve_disconnects_total,
+            ),
+            (
+                "msrs_serve_write_batches_total",
+                &self.serve_write_batches_total,
             ),
             (
                 "msrs_dispatch_workers_spawned_total",
