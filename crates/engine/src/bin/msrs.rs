@@ -1041,11 +1041,12 @@ fn cmd_stats(flags: &Flags) -> Result<(), String> {
         );
         out!(
             "  cache plane: {} fleet hit(s), {} stale fill(s) dropped; store \
-             {} loaded / {} load error(s) / {} segment(s) quarantined / \
-             {} flush(es) / {} queue drop(s)",
+             {} loaded in {:.3} ms / {} load error(s) / {} segment(s) \
+             quarantined / {} flush(es) / {} queue drop(s)",
             counter("msrs_dispatch_fleet_cache_hits_total"),
             counter("msrs_dispatch_stale_fills_dropped_total"),
             counter("msrs_cache_store_loads_total"),
+            counter("msrs_cache_store_load_nanos") as f64 / 1e6,
             counter("msrs_cache_store_load_errors_total"),
             counter("msrs_cache_store_segments_quarantined_total"),
             counter("msrs_cache_store_flushes_total"),

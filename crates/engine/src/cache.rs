@@ -239,7 +239,7 @@ impl ReportCache {
                     if !seen.insert(fp) {
                         continue; // already durable (warm load or earlier insert)
                     }
-                    let payload = report.to_store_json().to_string();
+                    let payload = report.store_json_string();
                     match store.append(fp, config_fp, &payload) {
                         Ok(()) => wrote = true,
                         Err(e) => eprintln!("msrs: cache store append failed: {e}"),

@@ -15,10 +15,14 @@
 //! The header, replay, torn-tail truncation, append and the `sum` rule
 //! come from the journal module (`journal.rs`) the dispatch checkpoint
 //! shares. The sum covers the fingerprint's hex, the config fingerprint
-//! and the report's canonical [`SolveReport::to_store_json`]
-//! serialization, so the loader verifies a record by re-serializing its
-//! parsed report. Segment markers are recognised by their `{"segment":`
-//! prefix, so each line is parsed once.
+//! and the payload: the report's canonical
+//! [`SolveReport::write_store_json`] bytes. The stored-bytes rule: the
+//! loader checks the sum over the payload bytes exactly as stored, then
+//! decodes them with [`SolveReport::read_store_json`], which accepts only
+//! bytes the writer would emit for the report it returns. A record that
+//! loads therefore re-serializes to the checksummed bytes, without the
+//! loader building a JSON tree or re-serializing anything. Record frames
+//! and segment markers are parsed byte by byte, each line once.
 //!
 //! * Appends are buffered by the caller ([`ReportCache`]'s background
 //!   flusher batches them) and made durable by [`CacheStore::sync`];
@@ -46,12 +50,13 @@
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 
 use msrs_telemetry::registry;
 
 use crate::dispatch::{CacheFault, FaultSpec};
 use crate::journal::{self, Journal, Kind};
-use crate::json::Json;
+use crate::json::canonical_u64;
 use crate::report::SolveReport;
 
 /// Magic string identifying a cache store.
@@ -68,10 +73,9 @@ const KIND: Kind = Kind {
     version: CACHE_STORE_VERSION,
 };
 
-/// One entry loaded from a store: the canonical fingerprint, the parsed
+/// One entry loaded from a store: the canonical fingerprint, the decoded
 /// report, and the exact payload bytes it was stored with (what the
-/// dispatch cache authority serves to `#cacheq` probes without
-/// re-serializing).
+/// dispatch cache authority keeps and serves to `#cacheq` probes).
 #[derive(Debug, Clone)]
 pub struct CacheStoreEntry {
     /// [`msrs_core::CanonicalForm::fingerprint`] of the instance.
@@ -108,45 +112,55 @@ pub struct CacheStore {
 }
 
 /// Serializes one record line for `fp` under `config_fp`. `payload` must
-/// be a [`SolveReport::to_store_json`] serialization (the loader verifies
-/// by re-serializing).
+/// be [`SolveReport::write_store_json`] output: the loader accepts no
+/// other bytes.
 pub fn record_line(fp: u128, config_fp: u64, payload: &str) -> String {
     let key = format!("{fp:032x}");
     let sum = journal::checksum(key.as_bytes(), config_fp, payload.as_bytes());
     format!("{{\"fp\":\"{key}\",\"config\":{config_fp},\"sum\":{sum},\"report\":{payload}}}")
 }
 
-/// Parses and verifies one complete record line under `config_fp`.
-/// `None` means the record is corrupt or foreign — never a panic.
+/// Parses and verifies one complete record line under `config_fp`:
+/// the frame `{"fp":"<32 hex>","config":N,"sum":S,"report":<payload>}`
+/// exactly as [`record_line`] writes it, a `sum` that matches the payload
+/// bytes as stored, and a payload that
+/// [`SolveReport::read_store_json`] accepts. `None` means the record is
+/// corrupt or foreign — never a panic.
 fn parse_record(line: &[u8], config_fp: u64) -> Option<CacheStoreEntry> {
-    let v = Json::parse(std::str::from_utf8(line).ok()?).ok()?;
-    let key = v.get("fp")?.as_str()?;
-    let fingerprint = u128::from_str_radix(key, 16).ok()?;
-    if v.get("config")?.as_u64()? != config_fp {
+    let rest = line.strip_prefix(b"{\"fp\":\"")?;
+    let key = rest.get(..32)?;
+    if !key.iter().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
         return None;
     }
-    let report_json = v.get("report")?;
-    let payload = report_json.to_string();
-    if journal::checksum(key.as_bytes(), config_fp, payload.as_bytes()) != v.get("sum")?.as_u64()? {
+    let fingerprint = u128::from_str_radix(std::str::from_utf8(key).ok()?, 16).ok()?;
+    let rest = rest[32..].strip_prefix(b"\",\"config\":")?;
+    let (config, len) = canonical_u64(rest)?;
+    if config != config_fp {
         return None;
     }
+    let rest = rest[len..].strip_prefix(b",\"sum\":")?;
+    let (sum, len) = canonical_u64(rest)?;
+    let payload = rest[len..]
+        .strip_prefix(b",\"report\":")?
+        .strip_suffix(b"}")?;
+    if journal::checksum(key, config_fp, payload) != sum {
+        return None;
+    }
+    let report = SolveReport::read_store_json(payload)?;
     Some(CacheStoreEntry {
         fingerprint,
-        report: Arc::new(SolveReport::from_store_json(report_json)?),
-        payload: payload.into(),
+        report: Arc::new(report),
+        payload: std::str::from_utf8(payload).ok()?.into(),
     })
 }
 
-/// The id of a segment marker line. Only lines with the marker prefix are
-/// parsed here, so a record line is parsed once, by [`parse_record`].
+/// The id of a segment marker line, `{"segment":N}`.
 fn parse_marker(line: &[u8]) -> Option<u64> {
-    if !line.starts_with(b"{\"segment\":") {
-        return None;
+    let rest = line.strip_prefix(b"{\"segment\":")?;
+    match canonical_u64(rest)? {
+        (id, len) if &rest[len..] == b"}" => Some(id),
+        _ => None,
     }
-    Json::parse(std::str::from_utf8(line).ok()?)
-        .ok()?
-        .get("segment")?
-        .as_u64()
 }
 
 /// Applies a `cache-torn` / `cache-flip` fault from `MSRS_FAULT` to the
@@ -208,6 +222,7 @@ impl CacheStore {
         path: &Path,
         config_fp: u64,
     ) -> io::Result<(CacheStore, Vec<CacheStoreEntry>, CacheLoadStats)> {
+        let started = Instant::now();
         apply_env_fault(path)?;
         let mut entries = Vec::new();
         let mut stats = CacheLoadStats::default();
@@ -261,6 +276,8 @@ impl CacheStore {
         };
         store.write_marker()?;
         store.journal.sync()?;
+        reg.cache_store_load_nanos
+            .add(started.elapsed().as_nanos() as u64);
         Ok((store, entries, stats))
     }
 
@@ -274,7 +291,7 @@ impl CacheStore {
 
     /// Appends one record (buffered — call [`sync`](Self::sync) to make
     /// a batch durable). `payload` must be the report's
-    /// [`SolveReport::to_store_json`] serialization.
+    /// [`SolveReport::write_store_json`] output.
     pub fn append(&mut self, fp: u128, config_fp: u64, payload: &str) -> io::Result<()> {
         self.journal.append(&record_line(fp, config_fp, payload))?;
         self.in_segment += 1;
@@ -297,8 +314,10 @@ impl CacheStore {
 mod tests {
     use super::*;
     use crate::portfolio::SolverKind;
+    use crate::report::tests::{arb_report, mutate};
     use crate::report::{RunStatus, SolverRun};
     use msrs_core::{Assignment, Schedule};
+    use proptest::prelude::*;
     use std::fs::OpenOptions;
     use std::io::Write;
     use std::path::PathBuf;
@@ -359,7 +378,9 @@ mod tests {
         let path = tmp("round_trip.mcache");
         let _ = std::fs::remove_file(&path);
         fill(&path, 7, 3);
+        let load_nanos = registry().cache_store_load_nanos.get();
         let (_store, entries, stats) = CacheStore::open(&path, 7).unwrap();
+        assert!(registry().cache_store_load_nanos.get() > load_nanos);
         assert_eq!(stats.loaded, 3);
         assert_eq!((stats.errors, stats.segments_quarantined), (0, 0));
         assert_eq!(entries.len(), 3);
@@ -426,6 +447,43 @@ mod tests {
             .iter()
             .all(|e| e.fingerprint > SEGMENT_RECORDS as u128));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any single-byte change to a valid record line is rejected: the
+        /// frame is strict, the config must match, and FNV-1a maps two
+        /// equal-length inputs that differ in one byte to different sums.
+        /// Any other edit never panics and yields only a record that
+        /// `record_line` writes exactly so, around a payload the store
+        /// writer writes exactly so.
+        #[test]
+        fn record_parser_accepts_only_verified_records(
+            r in arb_report(),
+            fp in any::<u64>(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+            edits in prop::collection::vec((any::<u8>(), any::<usize>(), any::<u8>()), 1..4),
+        ) {
+            let fp = (u128::from(fp) << 64) | u128::from(fp.rotate_left(7));
+            let line = record_line(fp, 7, &r.store_json_string());
+            let entry = parse_record(line.as_bytes(), 7).expect("a written record parses");
+            prop_assert_eq!(&*entry.payload, r.store_json_string().as_str());
+            prop_assert!(parse_record(line.as_bytes(), 8).is_none(), "foreign config");
+            let mut changed = line.clone().into_bytes();
+            let at = at % changed.len();
+            changed[at] = byte;
+            if changed != line.as_bytes() {
+                prop_assert!(parse_record(&changed, 7).is_none(), "byte {} changed", at);
+            }
+            for input in [mutate(line.as_bytes(), &edits), mutate(&[], &edits)] {
+                if let Some(e) = parse_record(&input, 7) {
+                    prop_assert_eq!(record_line(e.fingerprint, 7, &e.payload).as_bytes(), &input[..]);
+                    prop_assert_eq!(e.report.store_json_string(), &*e.payload);
+                }
+            }
+        }
     }
 
     #[test]

@@ -120,10 +120,13 @@
 //! installing hits into its local cache so they serve from the fast path
 //! bit-identically to local hits. After solving, the worker sends a
 //! `#cachefill <fp> <payload>` for every probed miss it now holds
-//! (before `#done`, while its lease is live); the coordinator verifies,
-//! re-serializes, and persists each fill, and drops fills from zombie or
+//! (before `#done`, while its lease is live); the coordinator decodes
+//! each fill with the strict store reader, encodes it again with the
+//! store writer and persists those bytes, and drops fills from zombie or
 //! idle workers (counted as `msrs_dispatch_stale_fills_dropped_total`).
-//! Payloads are [`crate::report::SolveReport::to_store_json`] lines. The
+//! Payloads are [`crate::report::SolveReport::write_store_json`] bytes,
+//! read back by [`crate::report::SolveReport::read_store_json`], which
+//! accepts exactly what the writer emits; no hop builds a JSON tree. The
 //! exchange is versioned through the remote handshake
 //! ([`crate::remote::REMOTE_PROTO_VERSION`]), so pre-cache workers are
 //! rejected before they can mis-parse it.
@@ -608,11 +611,7 @@ fn cache_exchange<R: BufRead, W: Write + Send>(
                     io::Error::new(io::ErrorKind::InvalidData, "malformed #cachehit reply")
                 })?;
             let (fp, payload) = payload;
-            match Json::parse(payload)
-                .ok()
-                .as_ref()
-                .and_then(crate::report::SolveReport::from_store_json)
-            {
+            match SolveReport::read_store_json(payload.as_bytes()) {
                 // An unverifiable payload degrades to a local solve;
                 // never a wrong answer.
                 Some(report) => engine.serve_cache_install(fp, Arc::new(report)),
@@ -764,7 +763,7 @@ fn solve_shard<W: Write + Send>(
         let mut w = out.lock().expect("worker output lock");
         for fp in &job.fills {
             if let Some(report) = engine.serve_cached_peek(*fp) {
-                writeln!(w, "#cachefill {fp:032x} {}", report.to_store_json())?;
+                writeln!(w, "#cachefill {fp:032x} {}", report.store_json_string())?;
             }
         }
         w.flush()?;
@@ -1773,9 +1772,10 @@ impl<'a> Coordinator<'a> {
 
     /// Accepts (or drops) a `#cachefill` offer. Fills are only trusted
     /// from a live lease: a zombie or idle sender means the lease lapsed
-    /// before the fill arrived, so it is dropped as stale. Accepted
-    /// payloads are re-parsed and re-serialized — the store only ever
-    /// holds bytes the coordinator produced itself.
+    /// before the fill arrived, so it is dropped as stale. An accepted
+    /// payload is decoded with the strict store reader and encoded again
+    /// with the store writer, so the store only ever holds bytes the
+    /// coordinator produced itself.
     fn handle_cachefill(&mut self, pos: usize, ordinal: u64, fp: u128, payload: &str) {
         if self.workers[pos].state == WorkerState::Zombie || !self.inflight.contains_key(&ordinal) {
             registry().dispatch_stale_fills_dropped_total.inc();
@@ -1788,14 +1788,10 @@ impl<'a> Coordinator<'a> {
         if cache.map.contains_key(&fp) {
             return; // racing fill from a twin attempt: first one wins
         }
-        let Some(report) = Json::parse(payload)
-            .ok()
-            .as_ref()
-            .and_then(SolveReport::from_store_json)
-        else {
+        let Some(report) = SolveReport::read_store_json(payload.as_bytes()) else {
             return; // unverifiable payload: never persist it
         };
-        let canonical: Arc<str> = report.to_store_json().to_string().into();
+        let canonical: Arc<str> = report.store_json_string().into();
         let append = cache
             .store
             .append(fp, self.cfg.config_fp, &canonical)
@@ -2406,6 +2402,56 @@ mod tests {
             }
             bytes
         })
+    }
+
+    /// Runs a worker's cache exchange for one probed fingerprint against a
+    /// coordinator that replies `reply`.
+    fn exchange_one(engine: &Engine, fp: u128, reply: &[u8]) -> io::Result<Option<Vec<u128>>> {
+        let instance = msrs_core::Instance::from_classes(1, &[vec![1]]).expect("valid instance");
+        let decoded = [Ok((Some(fp), crate::SolveRequest::new(instance)))];
+        let out = Arc::new(Mutex::new(Vec::new()));
+        cache_exchange(engine, &mut &reply[..], &out, &decoded)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A worker installs a `#cachehit` payload only when the store
+        /// writer reproduces it byte for byte; any other payload becomes a
+        /// fill obligation (a local solve) or a transport error, never a
+        /// wrong answer.
+        #[test]
+        fn worker_installs_only_verified_cachehit_payloads(
+            r in crate::report::tests::arb_report(),
+            edits in prop::collection::vec((any::<u8>(), any::<usize>(), any::<u8>()), 0..3),
+        ) {
+            let engine = Engine::new(crate::EngineConfig {
+                cache_capacity: crate::DEFAULT_CACHE_CAPACITY,
+                ..crate::EngineConfig::default()
+            });
+            let fp = 0x2a;
+            let payload = crate::report::tests::mutate(r.store_json_string().as_bytes(), &edits);
+            let mut reply = format!("#cachehit {fp:032x} ").into_bytes();
+            reply.extend_from_slice(&payload);
+            reply.push(b'\n');
+            match exchange_one(&engine, fp, &reply) {
+                Ok(Some(fills)) if fills.is_empty() => {
+                    let installed = engine.serve_cached_peek(fp);
+                    let sent = payload.split(|&b| b == b'\n').next().unwrap_or_default();
+                    let sent = std::str::from_utf8(sent).expect("the line was read as text");
+                    prop_assert_eq!(installed.expect("a hit installs").store_json_string(), sent.trim_end());
+                }
+                Ok(Some(fills)) => {
+                    prop_assert_eq!(fills, vec![fp]);
+                    prop_assert!(engine.serve_cached_peek(fp).is_none());
+                }
+                Ok(None) => prop_assert!(false, "one reply line was sent"),
+                Err(_) => prop_assert!(engine.serve_cached_peek(fp).is_none()),
+            }
+            if edits.is_empty() {
+                prop_assert!(engine.serve_cached_peek(fp).is_some(), "a pristine payload installs");
+            }
+        }
     }
 
     proptest! {

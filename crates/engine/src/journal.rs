@@ -149,9 +149,12 @@ fn check_header(kind: &Kind, expected: &Json, line: &[u8]) -> Result<(), String>
 /// The record checksum both journals store as `"sum"`: 64-bit FNV-1a over
 /// the record's key, the journal's config fingerprint in decimal and the
 /// record's canonical payload, joined by `:`. It is hashed chunk by chunk,
-/// so the joined text is never built. A loader recomputes it over its
-/// *re-serialized* parsed payload, so any stored bit that changes the
-/// content changes the sum.
+/// so the joined text is never built. Payloads are written canonically, so
+/// a loader may check the sum over the stored payload bytes as they are,
+/// provided its decoder accepts only canonical bytes (the cache store's
+/// strict report reader does); the checkpoint loader checks it over its
+/// parsed payload serialized again. Either way any stored bit that
+/// changes the content changes the sum.
 pub(crate) fn checksum(key: &[u8], config_fp: u64, payload: &[u8]) -> u64 {
     let mut digits = [0u8; 20];
     let mut rest = &mut digits[..];

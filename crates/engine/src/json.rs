@@ -65,6 +65,7 @@ impl Json {
     /// Parses one JSON document (rejecting trailing garbage).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -131,6 +132,31 @@ pub(crate) fn write_escaped_str(s: &str, out: &mut impl fmt::Write) -> fmt::Resu
     out.write_str("\"")
 }
 
+/// Length of the leading run of `bytes` that holds no `"` and no
+/// backslash: the part of a JSON string every parser in the crate copies
+/// verbatim, in one step rather than one character at a time.
+pub(crate) fn unescaped_run(bytes: &[u8]) -> usize {
+    bytes
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\')
+        .unwrap_or(bytes.len())
+}
+
+/// The decimal `u64` at the start of `bytes`, spelled exactly as `{}`
+/// formats it (no sign, no leading zero), and the number of bytes it
+/// takes. `None` when there are no digits, a leading zero, or overflow.
+pub(crate) fn canonical_u64(bytes: &[u8]) -> Option<(u64, usize)> {
+    let digits = bytes.iter().take_while(|b| b.is_ascii_digit()).count();
+    if digits == 0 || (digits > 1 && bytes[0] == b'0') {
+        return None;
+    }
+    let mut value = 0u64;
+    for &b in &bytes[..digits] {
+        value = value.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+    }
+    Some((value, digits))
+}
+
 /// Parse error with byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -155,6 +181,7 @@ impl std::error::Error for JsonError {}
 /// mirrored there; `jsonl`'s differential tests compare the two decoders
 /// line by line and catch a divergence.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -296,12 +323,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, so the run ends on a char boundary of the
+                    // `&str` input and slicing it is O(1).
+                    let end = self.pos + unescaped_run(&self.bytes[self.pos..]);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }

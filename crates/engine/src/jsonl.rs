@@ -594,12 +594,14 @@ impl<'a> Scan<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    push_char(out, ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote or backslash: the
+                    // line is a `&str` and both delimiters are ASCII, so
+                    // the run is whole UTF-8 scalars.
+                    let end = self.pos + crate::json::unescaped_run(&self.bytes[self.pos..]);
+                    if let Some(buf) = out {
+                        buf.extend_from_slice(&self.bytes[self.pos..end]);
+                    }
+                    self.pos = end;
                 }
             }
         }
@@ -641,6 +643,7 @@ pub fn write_corpus<'a>(requests: impl IntoIterator<Item = &'a SolveRequest>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// The pre-rewrite reference decoder: a [`Json`] tree plus field
     /// extraction. The streaming [`LineDecoder`] must agree with it on
@@ -760,6 +763,65 @@ mod tests {
         ] {
             assert_agrees(line);
         }
+    }
+
+    /// Valid lines with multi-byte UTF-8 and escapes in ids and keys: the
+    /// seeds the fuzzer mutates.
+    const SEEDS: &[&str] = &[
+        r#"{"id":"é \"q\" 😀","machines":2,"classes":[[0]]}"#,
+        r#"{"id":"é😀\/","machines":3,"classes":[[1,2],[3]]}"#,
+        r#"{"✓":"x","id":"a\\b\tc\n","machines":1,"classes":[[5],[]]}"#,
+        r#" { "classes" : [ [ 7 , 8 ] ] , "machines" : 4 , "ключ" : [ null , true , { } ] } "#,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The streaming decoder agrees with the tree parser on mutated
+        /// valid lines.
+        #[test]
+        fn decoder_agrees_with_tree_on_mutated_lines(
+            seed in 0..SEEDS.len(),
+            edits in prop::collection::vec((any::<u8>(), any::<usize>(), any::<u8>()), 1..5),
+        ) {
+            let bytes = crate::report::tests::mutate(SEEDS[seed].as_bytes(), &edits);
+            assert_agrees(&String::from_utf8_lossy(&bytes));
+        }
+
+        /// ... and on arbitrary input.
+        #[test]
+        fn decoder_agrees_with_tree_on_arbitrary_input(
+            bytes in prop::collection::vec(any::<u8>(), 0..48),
+            edits in prop::collection::vec((any::<u8>(), any::<usize>(), any::<u8>()), 0..24),
+        ) {
+            let bytes = crate::report::tests::mutate(&bytes, &edits);
+            assert_agrees(&String::from_utf8_lossy(&bytes));
+        }
+    }
+
+    /// Decoding a string costs time linear in its length: a 1 MiB id
+    /// (plain text, escapes and multi-byte characters) decodes in well
+    /// under the bound even in a debug build.
+    #[test]
+    fn a_one_mebibyte_id_decodes_in_linear_time() {
+        let (unit_json, unit) = (r#"ab\"é😀é\\"#, "ab\"é😀é\\");
+        let repeats = (1 << 20) / unit_json.len();
+        let line = format!(
+            r#"{{"id":"{}","machines":2,"classes":[[1]]}}"#,
+            unit_json.repeat(repeats)
+        );
+        let started = std::time::Instant::now();
+        let req = read_instance_line(1, &line).unwrap();
+        let tree = Json::parse(&line).unwrap();
+        let elapsed = started.elapsed();
+        let id = unit.repeat(repeats);
+        assert_eq!(req.id.as_deref(), Some(id.as_str()));
+        assert_eq!(tree.get("id").and_then(Json::as_str), Some(id.as_str()));
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "a {} byte line took {elapsed:?}",
+            line.len()
+        );
     }
 
     #[test]

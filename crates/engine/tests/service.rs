@@ -397,6 +397,7 @@ fn stats_errors_and_control_lines() {
     assert!(prom.contains("msrs_requests_total"));
     assert!(prom.contains("msrs_serve_sessions_open"));
     assert!(prom.contains("msrs_serve_write_batches_total"));
+    assert!(prom.contains("msrs_cache_store_load_nanos"));
     let json = http("/stats.json");
     assert!(json.starts_with("HTTP/1.1 200 OK"));
     assert!(json.contains("application/json"));

@@ -652,6 +652,10 @@ pub struct Registry {
     /// Cache entries dropped instead of persisted because the flusher's
     /// bounded queue was full (the fast path never blocks on disk).
     pub cache_store_queue_drops_total: Counter,
+    /// Nanoseconds spent opening cache stores: the warm load (read,
+    /// verify, decode every record) plus the torn-tail cut and the fresh
+    /// segment marker's fsync.
+    pub cache_store_load_nanos: Counter,
     /// `#cacheq` probes the dispatch coordinator answered from its
     /// fleet-shared cache with a `#cachehit` payload.
     pub dispatch_fleet_cache_hits_total: Counter,
@@ -719,6 +723,7 @@ impl Registry {
             cache_store_segments_quarantined_total: Counter::new(),
             cache_store_flushes_total: Counter::new(),
             cache_store_queue_drops_total: Counter::new(),
+            cache_store_load_nanos: Counter::new(),
             dispatch_fleet_cache_hits_total: Counter::new(),
             dispatch_stale_fills_dropped_total: Counter::new(),
             cache_entries: Gauge::new(),
@@ -737,7 +742,7 @@ impl Registry {
         &self.stages[stage as usize]
     }
 
-    fn counters(&self) -> [(&'static str, &Counter); 42] {
+    fn counters(&self) -> [(&'static str, &Counter); 43] {
         [
             ("msrs_requests_total", &self.requests_total),
             ("msrs_serve_fast_path_total", &self.serve_fast_path_total),
@@ -845,6 +850,7 @@ impl Registry {
                 "msrs_cache_store_queue_drops_total",
                 &self.cache_store_queue_drops_total,
             ),
+            ("msrs_cache_store_load_nanos", &self.cache_store_load_nanos),
             (
                 "msrs_dispatch_fleet_cache_hits_total",
                 &self.dispatch_fleet_cache_hits_total,
